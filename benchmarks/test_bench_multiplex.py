@@ -5,16 +5,17 @@ granularity and batches their per-frame sensor work into ``(E, .)``
 slabs (`repro.sim.sensors.read_frames_batch`).  This gate measures that
 batched sensing phase on the canonical dense scene (9 block-interior
 buildings, 8 NPC vehicles + 4 pedestrians, all in sensor range) against
-the single-episode serial path, in one process on one core, and fails
-if the batched path delivers less than :data:`MUX_SENSING_GATE` times
-the serial per-core throughput.
+the single-episode serial path (``read_frame``, itself a batch of one),
+in one process on one core, and fails if the batched path delivers less
+than :data:`MUX_SENSING_GATE` times the serial per-core throughput.
 
 End-to-end campaign throughput (serial vs ``backend="multiplexed"``) is
 measured and recorded alongside for context but *not* gated: sensing is
-roughly a third of an episode frame, so Amdahl bounds the whole-pipeline
-gain well below the sensing-phase gain no matter how good the batching
-is.  The end-to-end run doubles as a byte-identity check — the
-multiplexed records must equal the serial records exactly.
+34.0 % of a traced episode frame on the multiplexed dense workload
+(``dense-mux``, ``perfbench/NOTES.md``), so Amdahl bounds the
+whole-pipeline gain well below the sensing-phase gain no matter how good
+the batching is.  The end-to-end run doubles as a byte-identity check —
+the multiplexed records must equal the serial records exactly.
 
 Results land in ``benchmarks/results/BENCH_multiplex.json``.
 """
@@ -98,7 +99,7 @@ def _measure_sensing() -> dict:
             w.rng.bit_generator.state = copy.deepcopy(st)
 
     def serial():
-        return [s.read_frame(w, e, w.frame, w.rng) for s, w, e in episodes]
+        return [s.read_frame(w, e, w.frame) for s, w, e in episodes]
 
     def batched():
         return read_frames_batch([(s, w, e, w.frame) for s, w, e in episodes])

@@ -24,6 +24,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1: pytest -x -q =="
 python -m pytest -x -q
 
+echo "== perfbench: the benchmark's own tests =="
+# perfbench/ sits outside tier-1's testpaths.  Its tracer wraps
+# Renderer.render, Lidar2D.read and SensorSuite.read_frame by name, so
+# this catches a rename or removal that would break the traced run.
+python -m pytest perfbench -q
+
 echo "== smoke: declarative spec campaign (avfi run) =="
 python -m repro run examples/specs/smoke.json --workers 1
 

@@ -164,7 +164,7 @@ def collect_imitation_data(
         noise_len = max(1, int(cfg.noise_duration_s * world.fps))
 
         for _ in range(cfg.max_frames_per_episode):
-            frame = suite.read_frame(world, ego, world.frame, world.rng)
+            frame = suite.read_frame(world, ego, world.frame)
             control = expert.control(world.dt)
             command = expert.current_command()
 

@@ -15,10 +15,11 @@ the serial computation.
 The hard invariant, inherited from the rest of the execution stack:
 multiplexed output is **byte-identical** to the serial path.  That holds
 because (a) every episode owns its world RNG and the drivers interleave
-whole phases, never draws; (b) the batched kernels are elementwise
-bit-identical to their per-episode counterparts; and (c) anything that
-*cannot* be safely interleaved falls back to the canonical serial
-:func:`~repro.core.runner.attempt_task` path:
+whole phases, never draws; (b) serial sensing runs the same batched
+kernels with a slot of one, and they are elementwise over the episode
+axis, so an episode's bits never depend on its slot neighbours; and
+(c) anything that *cannot* be safely interleaved falls back to the
+canonical serial :func:`~repro.core.runner.attempt_task` path:
 
 - tasks whose fault set contains a
   :class:`~repro.core.faults.base.ModelFault` (they mutate agent model

@@ -33,7 +33,6 @@ __all__ = [
     "project_on_segment",
     "segments_intersect",
     "pack_boxes",
-    "batch_ray_hits",
     "pad_box_packs",
     "batch_ray_hits_multi",
 ]
@@ -293,7 +292,7 @@ class OrientedBox:
         Used by the 2-D LIDAR model and NPC hazard checks.  ``direction``
         need not be normalised.  Plain-float slab test (no intermediate
         :class:`Vec2` objects) with the same arithmetic as the batched
-        :func:`batch_ray_hits`.
+        :func:`batch_ray_hits_multi`.
         """
         n = math.hypot(direction.x, direction.y)
         if n < 1e-12:
@@ -332,7 +331,8 @@ def pack_boxes(boxes: Sequence["OrientedBox"]) -> np.ndarray:
 
     Columns: ``cx, cy, cos(-yaw), sin(-yaw), half_length, half_width`` —
     exactly the scalars :meth:`OrientedBox.ray_hit_distance` derives per
-    call, precomputed once so :func:`batch_ray_hits` is pure array math.
+    call, precomputed once so :func:`batch_ray_hits_multi` is pure array
+    math.
     """
     out = np.empty((len(boxes), 6), dtype=np.float64)
     for i, box in enumerate(boxes):
@@ -343,79 +343,6 @@ def pack_boxes(boxes: Sequence["OrientedBox"]) -> np.ndarray:
         out[i, 4] = box.half_length
         out[i, 5] = box.half_width
     return out
-
-
-def batch_ray_hits(
-    origin: Vec2, directions: np.ndarray, packed: np.ndarray, max_range: float
-) -> np.ndarray:
-    """First-hit distance of ``R`` rays against ``B`` packed boxes.
-
-    ``directions`` is an ``(R, 2)`` array of unit direction vectors and
-    ``packed`` the output of :func:`pack_boxes`.  Returns an ``(R,)``
-    float64 array holding, per ray, the nearest hit distance over all
-    boxes, or ``max_range`` where every box misses.
-
-    Bit-identical to folding :meth:`OrientedBox.ray_hit_distance` over the
-    boxes per ray: every slab division, min/max fold and comparison uses
-    the same operands in the same order, just batched over ``(R, B)``.
-    """
-    directions = np.asarray(directions, dtype=np.float64)
-    n_rays = len(directions)
-    if len(packed) == 0:
-        return np.full(n_rays, max_range, dtype=np.float64)
-    cx, cy, c, s, hl, hw = (packed[:, i] for i in range(6))
-    # Ray origin in every box frame (same expressions as Vec2.rotated(-yaw)).
-    px = origin.x - cx
-    py = origin.y - cy
-    ox = c * px - s * py  # (B,)
-    oy = s * px + c * py
-    n_boxes = len(packed)
-    # Slab numerators depend only on the box: compute them on (B,) once,
-    # laid out as [x-slab | y-slab] so both axes divide in one dispatch.
-    nlo = np.empty(2 * n_boxes)
-    nhi = np.empty(2 * n_boxes)
-    np.subtract(-hl, ox, out=nlo[:n_boxes])
-    np.subtract(hl, ox, out=nhi[:n_boxes])
-    np.subtract(-hw, oy, out=nlo[n_boxes:])
-    np.subtract(hw, oy, out=nhi[n_boxes:])
-    dx = directions[:, 0:1]  # (R, 1)
-    dy = directions[:, 1:2]
-    r2 = np.empty((n_rays, 2 * n_boxes))
-    rx = r2[:, :n_boxes]
-    ry = r2[:, n_boxes:]
-    np.multiply(c[None, :], dx, out=rx)
-    rx -= s[None, :] * dy
-    np.multiply(s[None, :], dx, out=ry)
-    ry += c[None, :] * dy
-
-    abs_r2 = np.abs(r2)
-    any_parallel = abs_r2.min() < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = nlo / r2
-        t2 = nhi / r2
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
-    if any_parallel:
-        # A parallel axis constrains nothing unless the origin lies
-        # outside its slab, which is an outright miss (the scalar path's
-        # early return).
-        par = abs_r2 < 1e-12
-        outside = np.empty(2 * n_boxes, dtype=bool)
-        np.greater(np.abs(ox), hl, out=outside[:n_boxes])
-        np.greater(np.abs(oy), hw, out=outside[n_boxes:])
-        miss_2 = par & outside[None, :]
-        miss = miss_2[:, :n_boxes] | miss_2[:, n_boxes:]
-        lo = np.where(par, -np.inf, lo)
-        hi = np.where(par, np.inf, hi)
-    t_min = np.maximum(lo[:, :n_boxes], lo[:, n_boxes:])
-    np.maximum(t_min, 0.0, out=t_min)
-    t_max = np.minimum(hi[:, :n_boxes], hi[:, n_boxes:])
-    np.minimum(t_max, max_range, out=t_max)
-    hit = t_min <= t_max
-    if any_parallel:
-        hit &= ~miss
-    per_box = np.where(hit, t_min, np.inf)
-    return np.minimum(per_box.min(axis=1), max_range)
 
 
 #: Padding row for ragged box packs: a unit box parked ~1e12 m away.  Any
@@ -430,9 +357,8 @@ def pad_box_packs(packs: Sequence[np.ndarray]) -> np.ndarray:
 
     Episodes see different box counts (actor pruning is pose-dependent);
     short packs are padded with :data:`_MISS_BOX` rows, which are
-    guaranteed misses, so :func:`batch_ray_hits_multi` over the padded
-    slab returns exactly what per-episode :func:`batch_ray_hits` calls
-    would.
+    guaranteed misses, so :func:`batch_ray_hits_multi` returns for each
+    episode exactly what it returns for that episode's pack alone.
     """
     n_eps = len(packs)
     b_max = max((len(p) for p in packs), default=0)
@@ -452,17 +378,20 @@ def batch_ray_hits_multi(
     packed: np.ndarray,
     max_range: float,
 ) -> np.ndarray:
-    """:func:`batch_ray_hits` stacked over ``E`` episodes in one dispatch.
+    """First-hit distances of ``R`` rays per episode against packed boxes.
 
-    ``origins`` is ``(E, 2)``, ``directions`` ``(E, R, 2)`` and ``packed``
-    ``(E, B, 6)`` (see :func:`pad_box_packs`).  Returns ``(E, R)`` hit
-    distances, bit-identical per episode to
-    ``batch_ray_hits(origins[e], directions[e], packed[e], max_range)``:
-    every elementwise operation below is the same IEEE op on the same
-    operands, just with a leading episode axis, and the per-box ``min``
-    fold is exact and insensitive to the inf-padded rows.  (The scalar
-    path's ``any_parallel`` fast-path gate is dropped here — the gated
-    corrections are value-identity wherever no axis is parallel.)
+    ``origins`` is ``(E, 2)``, ``directions`` ``(E, R, 2)`` unit direction
+    vectors and ``packed`` ``(E, B, 6)`` :func:`pack_boxes` rows (ragged
+    packs padded by :func:`pad_box_packs`).  Returns ``(E, R)`` float64
+    distances holding, per ray, the nearest hit over the episode's boxes,
+    or ``max_range`` where every box misses.  A single scan is ``E = 1``.
+
+    Bit-identical to folding :meth:`OrientedBox.ray_hit_distance` over
+    the boxes per ray: every slab division, min/max fold and comparison
+    uses the same operands in the same order, just batched over
+    ``(E, R, B)``.  The per-box ``min`` fold is exact and insensitive to
+    the padded rows, and every op is elementwise over the episode axis,
+    so an episode's ranges do not depend on its batch neighbours.
     """
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
@@ -471,6 +400,7 @@ def batch_ray_hits_multi(
     if n_eps == 0 or n_boxes == 0:
         return np.full((n_eps, n_rays), max_range, dtype=np.float64)
     cx, cy, c, s, hl, hw = (packed[:, :, i] for i in range(6))  # (E, B)
+    # Ray origin in every box frame (same expressions as Vec2.rotated(-yaw)).
     px = origins[:, 0:1] - cx
     py = origins[:, 1:2] - cy
     ox = c * px - s * py  # (E, B)
@@ -497,6 +427,8 @@ def batch_ray_hits_multi(
         t2 = nhi[:, None, :] / r2
         lo = np.minimum(t1, t2)
         hi = np.maximum(t1, t2)
+    # A parallel axis constrains nothing unless the origin lies outside
+    # its slab, which is an outright miss.
     par = abs_r2 < 1e-12
     outside = np.empty((n_eps, 2 * n_boxes), dtype=bool)
     np.greater(np.abs(ox), hl, out=outside[:, :n_boxes])

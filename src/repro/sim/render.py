@@ -76,6 +76,8 @@ class CameraModel:
             raise ValueError("camera resolution too small")
         if not 20.0 <= self.fov_deg <= 160.0:
             raise ValueError("fov must be within [20, 160] degrees")
+        if not (math.isfinite(self.max_depth) and self.max_depth > 0.0):
+            raise ValueError("max_depth must be finite and positive")
 
     @property
     def focal_px(self) -> float:
@@ -321,27 +323,24 @@ class Renderer:
         ] = {}
 
         buildings = self.town.buildings
-        self._bb_cx = np.array([b.box.center.x for b in buildings], dtype=np.float64)
-        self._bb_cy = np.array([b.box.center.y for b in buildings], dtype=np.float64)
-        self._bb_hl = np.array([b.box.half_length for b in buildings], dtype=np.float64)
-        self._bb_hw = np.array([b.box.half_width for b in buildings], dtype=np.float64)
-        self._bb_height = np.array([b.height for b in buildings], dtype=np.float64)
         self._bb_colors = np.array(
             [b.color for b in buildings], dtype=np.float32
         ).reshape(len(buildings), 3)
-        # Stacked (7, n_b) building block for _stack_drawables: rows are
+        # Stacked (7, n_b) building block for the billboard pass: rows are
         # [cx, cy, crel, srel, hl, hw, height]; the crel/srel rows are
         # frame-dependent placeholders overwritten per frame.
-        self._bb_block = np.stack(
+        boxes = [b.box for b in buildings]
+        self._bb_block = np.array(
             [
-                self._bb_cx,
-                self._bb_cy,
-                np.zeros(len(buildings)),
-                np.zeros(len(buildings)),
-                self._bb_hl,
-                self._bb_hw,
-                self._bb_height,
-            ]
+                [box.center.x for box in boxes],
+                [box.center.y for box in boxes],
+                [0.0] * len(boxes),
+                [0.0] * len(boxes),
+                [box.half_length for box in boxes],
+                [box.half_width for box in boxes],
+                [b.height for b in buildings],
+            ],
+            dtype=np.float64,
         )
 
         # SurfaceType id -> SemanticClass id lookup for the ground pass.
@@ -426,152 +425,28 @@ class Renderer:
             v = cy - f * zc / xc
         return u, v, xc
 
-    def _stack_drawables(self, ego_yaw: float, actors: list | None):
-        """Stack static buildings + dynamic actors into flat arrays.
-
-        Returns ``(cx, cy, crel, srel, hl, hw, height, actor_list)`` with
-        one entry per drawable, buildings first (matching the build order
-        of the former per-drawable loop).  ``crel``/``srel`` hold
-        ``cos/sin(yaw - ego_yaw)``, computed with ``math`` trig so the
-        values are bit-identical to the scalar path they replace —
-        buildings always billboard at yaw 0, so they share one pair.
-        """
-        actors = list(actors or [])
-        n_b = len(self._bb_cx)
-        rel0 = 0.0 - ego_yaw
-        c0, s0 = math.cos(rel0), math.sin(rel0)
-        if not actors:
-            return (
-                self._bb_cx,
-                self._bb_cy,
-                np.full(n_b, c0),
-                np.full(n_b, s0),
-                self._bb_hl,
-                self._bb_hw,
-                self._bb_height,
-                actors,
-            )
-        # One (7, n) buffer: the static building block copies in as a 2-D
-        # slab (crel/srel columns refreshed per frame), actors append as
-        # columns; the returned per-field rows are contiguous views.
-        n = n_b + len(actors)
-        buf = np.empty((7, n))
-        buf[:, :n_b] = self._bb_block
-        buf[2, :n_b] = c0
-        buf[3, :n_b] = s0
-        for i, a in enumerate(actors, start=n_b):
-            pos = a.transform.position
-            rel = a.yaw - ego_yaw
-            buf[:, i] = (
-                pos.x,
-                pos.y,
-                math.cos(rel),
-                math.sin(rel),
-                a.half_length,
-                a.half_width,
-                a.height,
-            )
-        return (*buf, actors)
-
     _CORNER_SX = np.array([1.0, 1.0, -1.0, -1.0])
     _CORNER_SY = np.array([1.0, -1.0, 1.0, -1.0])
 
-    def _billboard_geometry(self, ego: Transform, cx, cy, crel, srel, hl, hw, height):
-        """Cull, project and depth-sort all drawables in one batch.
-
-        Returns ``(order, valid, u0, u1, v0, v1, dist)``: the far-to-near
-        paint order over *all* drawables, a visibility mask, the unclipped
-        float pixel bounds of each billboard and the ego-frame distance
-        used for shading/fog/depth.  Every comparison and arithmetic step
-        mirrors the retired per-drawable loop exactly (stable descending
-        sort on the world-frame centre distance included), so painted
-        frames stay bit-identical.
-        """
-        cam = self.camera
-        ex, ey = ego.position.x, ego.position.y
-        dx = cx - ex
-        dy = cy - ey
-        c2, s2 = math.cos(-ego.yaw), math.sin(-ego.yaw)
-        lx = c2 * dx - s2 * dy
-        ly = s2 * dx + c2 * dy
-        # One pass of math.hypot for both the world-frame sort key and the
-        # ego-frame distance (np.hypot is not bit-identical to math.hypot,
-        # so these stay scalar).
-        hyp = math.hypot
-        sort_key = []
-        dist_l = []
-        for a, b, lxi, lyi in zip(dx.tolist(), dy.tolist(), lx.tolist(), ly.tolist()):
-            sort_key.append(hyp(a, b))
-            dist_l.append(hyp(lxi, lyi))
-        order = sorted(range(len(sort_key)), key=sort_key.__getitem__, reverse=True)
-        dist = np.array(dist_l)
-        keep = (lx >= 0.5) & (dist <= cam.max_depth)
-
-        # Corner offsets in the ego frame; sign * (extent * trig) matches
-        # the scalar ``dx * half_length * c`` exactly (dx, dy are +-1).
-        a = (hl * crel)[:, None]
-        b = (hw * srel)[:, None]
-        e = (hl * srel)[:, None]
-        f = (hw * crel)[:, None]
-        px = lx[:, None] + (self._CORNER_SX[None, :] * a - self._CORNER_SY[None, :] * b)
-        py = ly[:, None] + (self._CORNER_SX[None, :] * e + self._CORNER_SY[None, :] * f)
-        # Project the 8 box corners (bottom ring z=0, top ring z=height).
-        # This is _project() unrolled over one (n, 8) batch: x/y corners
-        # are shared between the rings, so only the pitched z term differs.
-        # Same expressions as the scalar path, same bits.
-        n = len(lx)
-        theta = math.radians(cam.pitch_deg)
-        cth, sth = math.cos(theta), math.sin(theta)
-        foc = cam.focal_px
-        ccx = (cam.width - 1) / 2.0
-        ccy = (cam.height - 1) / 2.0
-        qx = np.empty((n, 8))
-        qx[:, :4] = px
-        qx[:, 4:] = px
-        np.subtract(qx, cam.forward_offset, out=qx)
-        py8 = np.empty((n, 8))
-        py8[:, :4] = py
-        py8[:, 4:] = py
-        qz = np.empty((n, 8))
-        qz[:, :4] = 0.0 - cam.mount_height  # bottom ring sits on the ground
-        qz[:, 4:] = (height - cam.mount_height)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xc = qx * cth + qz * sth
-            zc = qx * (-sth) + qz * cth
-            u = ccx - foc * py8 / xc
-            v = ccy - foc * zc / xc
-        valid = keep & ~(xc < 0.2).any(1)
-        # Culled drawables may hold inf/nan bounds; the paint loop never
-        # reads them (``valid`` gates first).  floor/ceil/int clipping
-        # happen per painted drawable in the paint loop.
-        return (
-            order,
-            valid.tolist(),
-            u.min(1).tolist(),
-            u.max(1).tolist(),
-            v.min(1).tolist(),
-            v.max(1).tolist(),
-            dist,
-        )
-
     def _billboard_geometry_multi(self, egos, actor_lists):
-        """:meth:`_billboard_geometry` over many episodes in one dispatch.
+        """Cull, project and depth-sort every episode's drawables at once.
 
         ``egos``/``actor_lists`` pair one ego :class:`Transform` and one
-        actor list per episode.  The per-episode :meth:`_stack_drawables`
-        pass is fused in: all drawables write straight into one
-        concatenated ``(7, total)`` row buffer (static building block plus
-        per-actor columns, buildings first — the same build order and
-        ``math`` trig as the scalar path) with per-row ego scalars
-        expanded along their episode's segment.  Every arithmetic step is
-        then the same elementwise op on the same operands as the
-        single-episode call, so the sliced per-episode results are
-        bit-identical.  Sorting stays per episode (paint order never
-        crosses episodes).  Returns one
-        ``(order, valid, u0, u1, v0, v1, dist)`` tuple per episode.
+        actor list per episode.  All drawables write into one
+        concatenated ``(7, total)`` row buffer (static building block
+        plus per-actor columns, buildings first, ``math`` trig for the
+        relative yaws) with per-row ego scalars expanded along their
+        episode's segment, so one elementwise pass serves every episode
+        and an episode's bits never depend on its slot neighbours.
+        Sorting stays per episode (a stable descending sort on the
+        world-frame centre distance; paint order never crosses
+        episodes).  Returns one ``(order, valid, u0, u1, v0, v1, dist)``
+        tuple per episode: the far-to-near paint order, a visibility
+        mask, the unclipped float pixel bounds of each billboard and the
+        ego-frame distance used for shading/fog/depth.
         """
         cam = self.camera
-        n_b = len(self._bb_cx)
+        n_b = self._bb_block.shape[1]
         counts = [n_b + len(al) for al in actor_lists]
         total = sum(counts)
         if total == 0:
@@ -613,17 +488,23 @@ class Renderer:
         dy = cy - ey
         lx = c2 * dx - s2 * dy
         ly = s2 * dx + c2 * dy
+        # math.hypot for the sort key and the ego-frame distance: np.hypot
+        # is not bit-identical to it, and the golden frames pin these bits.
         hyp = math.hypot
         sort_key = [hyp(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
         dist = np.array([hyp(a, b) for a, b in zip(lx.tolist(), ly.tolist())])
         keep = (lx >= 0.5) & (dist <= cam.max_depth)
 
+        # Corner offsets in the ego frame (the corner signs are +-1).
         a = (hl * crel)[:, None]
         b = (hw * srel)[:, None]
         e = (hl * srel)[:, None]
         f = (hw * crel)[:, None]
         px = lx[:, None] + (self._CORNER_SX[None, :] * a - self._CORNER_SY[None, :] * b)
         py = ly[:, None] + (self._CORNER_SX[None, :] * e + self._CORNER_SY[None, :] * f)
+        # Project the 8 box corners (bottom ring z=0, top ring z=height):
+        # _project() unrolled over one (total, 8) batch, where the x/y
+        # corners are shared between the rings and only the z term differs.
         theta = math.radians(cam.pitch_deg)
         cth, sth = math.cos(theta), math.sin(theta)
         foc = cam.focal_px
@@ -644,6 +525,8 @@ class Renderer:
             zc = qx * (-sth) + qz * cth
             u = ccx - foc * py8 / xc
             v = ccy - foc * zc / xc
+        # Culled drawables may hold inf/nan bounds; the paint loop never
+        # reads them (``valid`` gates first) and clips the rest per rect.
         valid = keep & ~(xc < 0.2).any(1)
         u0 = u.min(1)
         u1 = u.max(1)
@@ -683,53 +566,23 @@ class Renderer:
                 continue
             target[b0 : b1 + 1, a0 : a1 + 1] = values[i]
 
-    def _billboard_colors(
-        self, actor_list: list, dist: np.ndarray, weather: Weather
-    ) -> np.ndarray:
-        """Shaded + fogged uint8 fill colours for all drawables.
-
-        Buildings first, then actors, matching :meth:`_stack_drawables`
-        order.  Shared by :meth:`render` and :meth:`render_batch` so both
-        paths produce the same bytes.
-        """
-        cam = self.camera
-        if actor_list:
-            cols = np.concatenate(
-                [
-                    self._bb_colors,
-                    np.array([a.color for a in actor_list], dtype=np.float32),
-                ]
-            )
-        else:
-            cols = self._bb_colors
-        shade = 1.0 - 0.35 * np.minimum(dist / cam.max_depth, 1.0)
-        cols = cols * shade.astype(np.float32)[:, None]
-        visibility = cam.max_depth * (1.0 - 0.85 * weather.fog_density)
-        fog_a = np.clip(dist / visibility, 0.0, 1.0)
-        if weather.fog_density > 0.0:
-            fog_a = fog_a ** max(0.5, 1.0 - weather.fog_density)
-        cols = (
-            cols * (1.0 - fog_a).astype(np.float32)[:, None]
-            + FOG_COLOR[None, :] * fog_a.astype(np.float32)[:, None]
-        )
-        return cols.astype(np.uint8)
-
     def _billboard_colors_multi(
         self,
         actor_lists: list[list],
         dists: list[np.ndarray],
         weathers: list[Weather],
     ) -> list[np.ndarray]:
-        """:meth:`_billboard_colors` for many episodes in one dispatch.
+        """Shaded + fogged uint8 fill colours, one array per episode.
 
-        All episodes' drawable rows concatenate into one colour/distance
-        row set with per-episode scalars (fog visibility) expanded along
-        their segment, so the shading/fog ufuncs run once instead of once
-        per episode.  Every step is the same elementwise op on the same
-        operands as the per-episode call — except the fog-gamma power,
-        which keeps a *scalar* exponent per episode segment: NumPy's
-        scalar-exponent fast paths (e.g. ``** 0.5`` -> sqrt) are not
-        guaranteed bit-identical to an array-exponent ``pow``.
+        Rows follow :meth:`_billboard_geometry_multi`: buildings first,
+        then actors.  All episodes' drawable rows concatenate into one
+        colour/distance row set with per-episode scalars (fog visibility)
+        expanded along their segment, so the shading/fog ufuncs run once
+        instead of once per episode.  The fog-gamma power keeps a
+        *scalar* exponent per episode segment: NumPy's scalar-exponent
+        fast paths (e.g. ``** 0.5`` -> sqrt) are not guaranteed
+        bit-identical to an array-exponent ``pow``, and a scalar exponent
+        keeps an episode's bits independent of its batch neighbours.
         """
         cam = self.camera
         pieces = []
@@ -749,8 +602,6 @@ class Renderer:
             counts[i] = len(dist)
             pos += len(dist)
             offsets.append(pos)
-        if pos == 0:
-            return [np.empty((0, 3), dtype=np.uint8) for _ in dists]
         cols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
         dist = np.concatenate(dists) if len(dists) > 1 else dists[0]
         shade = 1.0 - 0.35 * np.minimum(dist / cam.max_depth, 1.0)
@@ -778,9 +629,9 @@ class Renderer:
         The streak update is a single fancy-indexed pass; pixels covered
         by k overlapping streaks get the darken/brighten transform applied
         k times, which is exactly what the retired per-streak loop
-        produced.  Shared by :meth:`render` and :meth:`render_batch` so the
-        per-episode rng draws happen in the same order with the same
-        arguments either way.
+        produced.  Runs once per episode, so every episode's rng draws
+        happen in the same order with the same arguments however the
+        episodes are batched.
         """
         cam = self.camera
         if weather.rain_intensity > 0.0 and rng is not None:
@@ -835,49 +686,9 @@ class Renderer:
         ``actors`` is any iterable of objects with ``position``, ``yaw``,
         ``half_length``, ``half_width``, ``height`` and ``color`` attributes
         (the ego itself should not be included).  ``rng`` drives rain streak
-        placement only.
+        placement only.  A one-view :meth:`render_batch`.
         """
-        weather = weather or Weather("ClearNoon")
-        cam = self.camera
-        # Sky gradient with the constant beyond-max-depth haze pre-baked.
-        img = self._frame_base.copy()
-
-        # Ground pass: transform precomputed local ground points to world
-        # (masked up front — pixels at/above the horizon never sample).
-        cos_y, sin_y = math.cos(ego.yaw), math.sin(ego.yaw)
-        wx = ego.position.x + self._ground_x * cos_y - self._ground_y * sin_y
-        wy = ego.position.y + self._ground_x * sin_y + self._ground_y * cos_y
-        colors = self.texture.sample_f32_xy(wx, wy)
-
-        # Distance fog over the ground pass (per-weather cached terms,
-        # applied in place: colors * (1 - alpha) + FOG_COLOR * alpha).
-        fog_term, one_minus_alpha = self._ground_alpha(weather.fog_density)
-        np.multiply(colors, one_minus_alpha, out=colors)
-        np.add(colors, fog_term, out=colors)
-        self._scatter_ground(img, colors)
-
-        # Billboard pass: one batched cull/project/sort, then far-to-near
-        # slab paints.
-        cx, cy, crel, srel, hl, hw, height, actor_list = self._stack_drawables(
-            ego.yaw, actors
-        )
-        if len(cx):
-            order, valid, u0, u1, v0, v1, dist = self._billboard_geometry(
-                ego, cx, cy, crel, srel, hl, hw, height
-            )
-            self._paint_billboards(
-                img,
-                order,
-                valid,
-                u0,
-                u1,
-                v0,
-                v1,
-                self._billboard_colors(actor_list, dist, weather),
-            )
-
-        # Atmosphere: rain streaks and brightness.
-        return self._apply_atmosphere(img, weather, rng)
+        return self.render_batch([(ego, actors, weather, rng)])[0]
 
     def render_batch(
         self,
@@ -888,18 +699,17 @@ class Renderer:
         """Render many episodes' frames through this renderer in one batch.
 
         ``views`` holds one ``(ego, actors, weather, rng)`` tuple per
-        episode; the return list pairs with it.  Ground-pass world
-        coordinates and the billboard geometry pipeline run over all
-        episodes stacked into ``(E, .)`` slabs — every arithmetic step is
-        the same elementwise op as :meth:`render` on the same operands,
-        and everything order-sensitive (paint order, rain rng draws)
-        stays per episode, so each output is bit-identical to the serial
-        call.  Used by the episode multiplexer for same-scene-fingerprint
-        groups (one shared renderer via the scene cache).
+        episode; the return list pairs with it.  The ground and billboard
+        passes run over all episodes stacked into ``(E, .)`` slabs of
+        elementwise ops; everything order-sensitive (paint
+        order, rain rng draws) stays per episode, so an episode's frame
+        does not depend on which other episodes share its batch.  The
+        episode multiplexer batches same-scene-fingerprint episodes (one
+        shared renderer via the scene cache); serial episodes are a batch
+        of one.
         """
         if not views:
             return []
-        cam = self.camera
         n_eps = len(views)
         # Batched ground pass: (E, N) world coordinates in one dispatch,
         # one flat texture gather for all episodes.
@@ -927,32 +737,24 @@ class Renderer:
         np.multiply(colors, one_minus, out=colors)
         np.add(colors, fog_term, out=colors)
 
-        # Billboard geometry for all episodes in one concatenated dispatch
-        # (the per-episode drawable stacking is fused into the multi call).
+        # Billboard geometry and fill colours for all episodes in one
+        # concatenated dispatch each.
         actor_lists = [list(actors or []) for (_, actors, _, _) in views]
         geoms = self._billboard_geometry_multi(
             [ego for (ego, _, _, _) in views], actor_lists
         )
-        painting = [i for i in range(n_eps) if len(geoms[i][6])]
-        fills = dict(
-            zip(
-                painting,
-                self._billboard_colors_multi(
-                    [actor_lists[i] for i in painting],
-                    [geoms[i][6] for i in painting],
-                    [weathers[i] for i in painting],
-                ),
-            )
+        fills = self._billboard_colors_multi(
+            actor_lists, [geom[6] for geom in geoms], weathers
         )
 
         out: list[np.ndarray] = []
-        for i, (_, _, weather, rng) in enumerate(views):
-            weather = weathers[i]
+        for (_, _, _, rng), weather, geom, fill, ground in zip(
+            views, weathers, geoms, fills, colors
+        ):
+            # Sky gradient with the constant beyond-max-depth haze pre-baked.
             img = self._frame_base.copy()
-            self._scatter_ground(img, colors[i])
-            order, valid, u0, u1, v0, v1, dist = geoms[i]
-            if i in fills:
-                self._paint_billboards(img, order, valid, u0, u1, v0, v1, fills[i])
+            self._scatter_ground(img, ground)
+            self._paint_billboards(img, *geom[:6], fill)
             out.append(self._apply_atmosphere(img, weather, rng))
         return out
 
@@ -984,19 +786,16 @@ class Renderer:
 
         # Billboard pass shares the batched geometry with render(); only
         # the painted payload differs (class ids + centre distances).
-        cx, cy, crel, srel, hl, hw, height, actor_list = self._stack_drawables(
-            ego.yaw, actors
-        )
-        if len(cx):
-            order, valid, u0, u1, v0, v1, dist = self._billboard_geometry(
-                ego, cx, cy, crel, srel, hl, hw, height
-            )
-            classes = [SemanticClass.BUILDING] * len(self._bb_cx) + [
-                SemanticClass.PEDESTRIAN
-                if getattr(a, "role", "") == "pedestrian"
-                else SemanticClass.VEHICLE
-                for a in actor_list
-            ]
-            self._paint_billboards(semantic, order, valid, u0, u1, v0, v1, classes)
-            self._paint_billboards(depth, order, valid, u0, u1, v0, v1, dist.tolist())
+        actor_list = list(actors or [])
+        order, valid, u0, u1, v0, v1, dist = self._billboard_geometry_multi(
+            [ego], [actor_list]
+        )[0]
+        classes = [SemanticClass.BUILDING] * self._bb_block.shape[1] + [
+            SemanticClass.PEDESTRIAN
+            if getattr(a, "role", "") == "pedestrian"
+            else SemanticClass.VEHICLE
+            for a in actor_list
+        ]
+        self._paint_billboards(semantic, order, valid, u0, u1, v0, v1, classes)
+        self._paint_billboards(depth, order, valid, u0, u1, v0, v1, dist.tolist())
         return semantic, depth

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .geometry import Vec2, batch_ray_hits, batch_ray_hits_multi, pad_box_packs
+from .geometry import Vec2, batch_ray_hits_multi, pad_box_packs
 from .render import CameraModel, Renderer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -203,10 +203,8 @@ class Lidar2D(Sensor):
         """``(origin, directions, packed)`` for this frame's ray cast.
 
         The Python-side pruning/packing stays per episode; the returned
-        arrays feed either :func:`~repro.sim.geometry.batch_ray_hits`
-        (serial) or, stacked across episodes,
-        :func:`~repro.sim.geometry.batch_ray_hits_multi` (multiplexed) —
-        both produce the same bits from these inputs.
+        arrays, stacked across episodes, feed
+        :func:`~repro.sim.geometry.batch_ray_hits_multi`.
         """
         origin = vehicle.position
         ox, oy = origin.x, origin.y
@@ -214,8 +212,7 @@ class Lidar2D(Sensor):
         # Actor boxes are dynamic: pack (and prune) them per frame —
         # plain-float math, identical to OrientedBox.ray_hit_distance's
         # per-call derivation.  Building boxes are static: packed once per
-        # town and pruned here with the same range test the scalar path
-        # used.
+        # town and pruned here with the same reach test as the actors.
         rows = []
         ego_id = vehicle.id
         for a in world.actors:
@@ -249,12 +246,12 @@ class Lidar2D(Sensor):
             packed = np.concatenate([actor_pack, kept_buildings])
         else:
             packed = kept_buildings
-        # Per-ray unit directions, derived exactly as the scalar path did
-        # (from_heading then normalized; the hypot of an exact unit pair
-        # may still differ from 1.0 in the last bit).  The rays depend
-        # only on the ego yaw, which repeats whenever the vehicle holds
-        # its heading, so the last frame's array is memoised and reused
-        # verbatim (callers treat it as read-only).
+        # Per-ray unit directions, derived exactly as
+        # ``Vec2.from_heading(h).normalized()`` does (the hypot of an
+        # exact unit pair may still differ from 1.0 in the last bit).  The
+        # rays depend only on the ego yaw, which repeats whenever the
+        # vehicle holds its heading, so the last frame's array is memoised
+        # and reused verbatim (callers treat it as read-only).
         ego_yaw = vehicle.yaw
         key = (self.n_rays, self.fov, ego_yaw)
         cached = getattr(self, "_dir_cache", None)
@@ -276,7 +273,9 @@ class Lidar2D(Sensor):
 
     def read(self, world: "World", vehicle: "Vehicle", rng: np.random.Generator) -> np.ndarray:
         origin, directions, packed = self.scan_inputs(world, vehicle)
-        return batch_ray_hits(origin, directions, packed, self.max_range)
+        return batch_ray_hits_multi(
+            np.array([[origin.x, origin.y]]), directions[None], packed[None], self.max_range
+        )[0]
 
 
 class SensorSuite:
@@ -299,18 +298,9 @@ class SensorSuite:
         self.speedometer = speedometer or Speedometer()
         self.lidar = lidar
 
-    def read_frame(
-        self, world: "World", vehicle: "Vehicle", frame: int, rng: np.random.Generator
-    ) -> SensorFrame:
-        """Read every sensor and bundle the results."""
-        return SensorFrame(
-            frame=frame,
-            image=self.camera.read(world, vehicle, rng),
-            gps=self.gps.read(world, vehicle, rng),
-            speed=self.speedometer.read(world, vehicle, rng),
-            heading=vehicle.yaw,
-            lidar=None if self.lidar is None else self.lidar.read(world, vehicle, rng),
-        )
+    def read_frame(self, world: "World", vehicle: "Vehicle", frame: int) -> SensorFrame:
+        """Read every sensor and bundle the results (a one-item batch)."""
+        return read_frames_batch([(self, world, vehicle, frame)])[0]
 
 
 def read_frames_batch(
@@ -324,11 +314,12 @@ def read_frames_batch(
     cached renderer), LIDAR ray casts batch per scan shape
     ``(n_rays, fov, max_range)``; GPS/speedometer stay per episode.
 
-    Bit-identity with the serial path holds because every episode draws
-    from its *own* ``world.rng`` in the same order as
-    :meth:`SensorSuite.read_frame` (camera rain, then GPS, then speed;
-    LIDAR consumes no randomness), and the batched numeric kernels are
-    elementwise-identical to their per-episode counterparts.
+    An episode's bundle does not depend on what it is batched with:
+    every episode draws from its *own* ``world.rng`` in a fixed order
+    (camera rain, then GPS, then speed; LIDAR consumes no randomness),
+    and the batched numeric kernels are elementwise over the episode
+    axis.  A serial episode is a batch of one
+    (:meth:`SensorSuite.read_frame`).
     """
     if not items:
         return []
@@ -341,10 +332,6 @@ def read_frames_batch(
         renderer = suite.camera.renderer
         cam_groups.setdefault(id(renderer), (renderer, []))[1].append(idx)
     for renderer, idxs in cam_groups.values():
-        if len(idxs) == 1:
-            suite, world, vehicle, _ = items[idxs[0]]
-            images[idxs[0]] = suite.camera.read(world, vehicle, world.rng)
-            continue
         views = []
         for idx in idxs:
             suite, world, vehicle, _ = items[idx]
@@ -378,10 +365,6 @@ def read_frames_batch(
         key = (suite.lidar.n_rays, suite.lidar.fov, suite.lidar.max_range)
         lidar_groups.setdefault(key, []).append(idx)
     for (n_rays, fov, max_range), idxs in lidar_groups.items():
-        if len(idxs) == 1:
-            suite, world, vehicle, _ = items[idxs[0]]
-            lidars[idxs[0]] = suite.lidar.read(world, vehicle, world.rng)
-            continue
         origins = np.empty((len(idxs), 2), dtype=np.float64)
         dir_stack = []
         packs = []

@@ -66,7 +66,7 @@ class SimulationServer:
         """Ship the frame-0 sensor bundle so the agent has input to start."""
         ego = self.world.ego
         assert ego is not None
-        bundle = self.sensors.read_frame(self.world, ego, self.world.frame, self.world.rng)
+        bundle = self.sensors.read_frame(self.world, ego, self.world.frame)
         self.sensor_channel.send(Packet("sensor", self.world.frame, bundle))
 
     # -- stepwise phases -----------------------------------------------
@@ -105,7 +105,7 @@ class SimulationServer:
         """Phase 4a: read the sensor suite at the current world frame."""
         ego = self.world.ego
         assert ego is not None
-        return self.sensors.read_frame(self.world, ego, self.world.frame, self.world.rng)
+        return self.sensors.read_frame(self.world, ego, self.world.frame)
 
     def publish_bundle(self, bundle: "SensorFrame") -> None:
         """Phase 4b: ship a sensor bundle on the sensor channel.

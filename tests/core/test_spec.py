@@ -17,6 +17,7 @@ The load-bearing guarantees:
 
 import copy
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -428,6 +429,16 @@ class TestSpecValidation:
                     "execution": {"backend": "carrier-pigeon"},
                 }
             )
+
+    @pytest.mark.parametrize("max_depth", [0, -5, math.nan])
+    def test_degenerate_camera_depth_rejected(self, max_depth):
+        data = {
+            "schema_version": 1,
+            "injectors": {"none": []},
+            "builder": {"camera": {"max_depth": max_depth}},
+        }
+        with pytest.raises(SpecError, match=r"spec.builder: max_depth must be finite"):
+            parse_spec(json.dumps(data))
 
     def test_suite_needs_exactly_one_form(self):
         with pytest.raises(SpecError, match="exactly one of"):

@@ -1,14 +1,15 @@
-"""Bit-identity of the cross-episode batched sensing kernels.
+"""An E-slot of batched sensing equals E singleton calls, bit for bit.
 
-The episode multiplexer stacks per-episode sensor work into ``(E, ...)``
-slabs (`repro.sim.geometry.batch_ray_hits_multi`,
+Sensing has one path: the episode multiplexer stacks per-episode sensor
+work into ``(E, ...)`` slabs (`repro.sim.geometry.batch_ray_hits_multi`,
 `repro.sim.render.Renderer.render_batch`,
-`repro.sim.sensors.read_frames_batch`).  The multiplexed backend's
-byte-identity guarantee rests on these kernels being *bitwise* equal to
-their serial counterparts — not merely numerically close — so every
-comparison here is exact (``array_equal`` on float arrays) and the RNG
-end states are compared too: a batched path that consumed a different
-number of draws would silently diverge every frame after the first.
+`repro.sim.sensors.read_frames_batch`), and a serial episode runs the
+same kernels with ``E = 1``.  The multiplexed backend's byte-identity
+guarantee therefore rests on an episode's output not depending on its
+slot neighbours, so every comparison here is exact (``array_equal`` on
+float arrays) and the RNG end states are compared too: a slot that
+consumed a different number of draws would silently diverge every frame
+after the first.
 """
 
 import copy
@@ -18,13 +19,9 @@ import numpy as np
 import pytest
 
 from repro.sim.builders import SimulationBuilder
-from repro.sim.geometry import (
-    Vec2,
-    batch_ray_hits,
-    batch_ray_hits_multi,
-    pad_box_packs,
-)
-from repro.sim.sensors import read_frames_batch
+from repro.sim.geometry import Vec2, batch_ray_hits_multi, pad_box_packs
+from repro.sim.render import CameraModel
+from repro.sim.sensors import Camera, Lidar2D, SensorSuite, read_frames_batch
 from repro.sim.physics import VehicleControl
 from repro.sim.scenario import make_scenarios
 from repro.sim.town import GridTownConfig
@@ -60,6 +57,11 @@ def _episodes(n, with_lidar=True, weathers=("ClearNoon", "HardRainNoon", "FoggyN
     return episodes
 
 
+def _reset(episodes, states):
+    for (_, world, _), state in zip(episodes, states):
+        world.rng.bit_generator.state = copy.deepcopy(state)
+
+
 class TestBatchRayHitsMulti:
     def test_matches_per_episode_kernel_bitwise(self):
         rng = np.random.default_rng(42)
@@ -78,8 +80,8 @@ class TestBatchRayHitsMulti:
             boxes[:, 4:6] = rng.uniform(0.5, 4.0, size=(n_boxes, 2))
             packs.append(boxes)
         serial = [
-            batch_ray_hits(origin, dirs, boxes, 60.0)
-            for origin, dirs, boxes in zip(origins, dir_stack, packs)
+            batch_ray_hits_multi(np.array([[o.x, o.y]]), dirs[None], boxes[None], 60.0)[0]
+            for o, dirs, boxes in zip(origins, dir_stack, packs)
         ]
         batched = batch_ray_hits_multi(
             np.array([[o.x, o.y] for o in origins]),
@@ -105,48 +107,56 @@ class TestBatchRayHitsMulti:
         assert ranges[0, 0] == 50.0  # pure miss: clamped to max range
 
 
+def _assert_slot_equals_singletons(episodes):
+    """``read_frames_batch`` over ``episodes`` equals one ``read_frame``
+    per episode: same bundles, same RNG end states."""
+    states = [_rng_state(world) for _, world, _ in episodes]
+    singles = [suite.read_frame(world, ego, world.frame) for suite, world, ego in episodes]
+    single_states = [_rng_state(world) for _, world, _ in episodes]
+    _reset(episodes, states)
+    batched = read_frames_batch(
+        [(suite, world, ego, world.frame) for suite, world, ego in episodes]
+    )
+    for (suite, _, _), a, b in zip(episodes, singles, batched):
+        assert a.frame == b.frame
+        assert np.array_equal(a.image, b.image)
+        assert a.gps == b.gps
+        assert a.speed == b.speed
+        assert a.heading == b.heading
+        if suite.lidar is None:
+            assert a.lidar is None and b.lidar is None
+        else:
+            assert np.array_equal(a.lidar, b.lidar)
+    # Same number of RNG draws in the same order — the next frame
+    # would diverge otherwise even with identical outputs here.
+    for (_, world, _), state in zip(episodes, single_states):
+        assert world.rng.bit_generator.state == state
+
+
 class TestReadFramesBatch:
     @pytest.mark.parametrize("with_lidar", [True, False])
     def test_bitwise_identical_to_serial_reads(self, with_lidar):
-        episodes = _episodes(3, with_lidar=with_lidar)
-        states = [_rng_state(world) for _, world, _ in episodes]
-        serial = [
-            suite.read_frame(world, ego, world.frame, world.rng)
-            for suite, world, ego in episodes
-        ]
-        serial_states = [_rng_state(world) for _, world, _ in episodes]
-        for (_, world, _), state in zip(episodes, states):
-            world.rng.bit_generator.state = copy.deepcopy(state)
-        batched = read_frames_batch(
-            [(suite, world, ego, world.frame) for suite, world, ego in episodes]
-        )
-        for a, b in zip(serial, batched):
-            assert a.frame == b.frame
-            assert np.array_equal(a.image, b.image)
-            assert a.gps == b.gps
-            assert a.speed == b.speed
-            assert a.heading == b.heading
-            if with_lidar:
-                assert np.array_equal(a.lidar, b.lidar)
-            else:
-                assert a.lidar is None and b.lidar is None
-        # Same number of RNG draws in the same order — the next frame
-        # would diverge otherwise even with identical outputs here.
-        for (_, world, _), state in zip(episodes, serial_states):
-            assert world.rng.bit_generator.state == state
+        _assert_slot_equals_singletons(_episodes(3, with_lidar=with_lidar))
 
     def test_mixed_suites_one_episode_groups(self):
-        # A lone episode per renderer/scan group must take the serial
-        # fast path and still match exactly.
-        episodes = _episodes(1)
-        suite, world, ego = episodes[0]
-        state = _rng_state(world)
-        serial = suite.read_frame(world, ego, world.frame, world.rng)
-        world.rng.bit_generator.state = copy.deepcopy(state)
-        [batched] = read_frames_batch([(suite, world, ego, world.frame)])
-        assert np.array_equal(serial.image, batched.image)
-        assert serial.gps == batched.gps
-        assert np.array_equal(serial.lidar, batched.lidar)
+        # One slot mixing a shared renderer/scan shape (a group of two)
+        # with one-episode groups: no LIDAR, another scan shape, and
+        # another camera.  Every group size runs the same kernels.
+        episodes = _episodes(4)
+        town_config = GridTownConfig(rows=3, cols=3)
+        small = SimulationBuilder(camera=CameraModel(width=32, height=24))
+        suite, world, ego = episodes[1]
+        episodes[1] = (SensorSuite(suite.camera, lidar=None), world, ego)
+        suite, world, ego = episodes[2]
+        episodes[2] = (
+            SensorSuite(
+                Camera(small.renderer_for(town_config)),
+                lidar=Lidar2D(n_rays=9, fov_deg=90.0),
+            ),
+            world,
+            ego,
+        )
+        _assert_slot_equals_singletons(episodes)
 
     def test_empty_batch(self):
         assert read_frames_batch([]) == []
@@ -164,8 +174,8 @@ class TestRenderBatch:
             )
             for _, world, ego in episodes
         ]
-        for (_, world, _), state in zip(episodes, states):
-            world.rng.bit_generator.state = copy.deepcopy(state)
+        serial_states = [_rng_state(world) for _, world, _ in episodes]
+        _reset(episodes, states)
         batched = renderer.render_batch(
             [
                 (ego.transform, world.other_actors(ego.id), world.weather, world.rng)
@@ -174,3 +184,5 @@ class TestRenderBatch:
         )
         for a, b in zip(serial, batched):
             assert np.array_equal(a, b)
+        for (_, world, _), state in zip(episodes, serial_states):
+            assert world.rng.bit_generator.state == state

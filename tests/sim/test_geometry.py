@@ -13,8 +13,9 @@ from repro.sim.geometry import (
     Transform,
     Vec2,
     angle_diff,
-    batch_ray_hits,
+    batch_ray_hits_multi,
     pack_boxes,
+    pad_box_packs,
     point_segment_distance,
     project_on_segment,
     segments_intersect,
@@ -323,9 +324,11 @@ class TestPolyline:
 class TestBatchRayHits:
     """The batched LIDAR slab test against the scalar reference.
 
-    ``batch_ray_hits`` must agree *exactly* (not approximately) with
-    folding :meth:`OrientedBox.ray_hit_distance` over the boxes — the
-    vectorised LIDAR promises bit-identical readings.
+    ``batch_ray_hits_multi`` must agree *exactly* (not approximately)
+    with folding :meth:`OrientedBox.ray_hit_distance` over the boxes —
+    the vectorised LIDAR promises bit-identical readings.  Every case
+    runs the scan alone (``E = 1``) and as the middle slot of a ragged
+    ``E = 3`` slab, and both must give the same bits.
     """
 
     @staticmethod
@@ -340,6 +343,36 @@ class TestBatchRayHits:
                     best = hit
             out[i] = best
         return out
+
+    @staticmethod
+    def _hits(origin, directions, packed, max_range):
+        """One scan's ranges; checks E=1 against a ragged E=3 slab."""
+        # Neighbours: a longer pack (so this scan's slot is padded), and
+        # an empty one (so the neighbour's slot is all padding).
+        longer = pack_boxes(
+            [
+                OrientedBox(Vec2(4.0 + 3.0 * k, 1.0 - k), 0.4 * k, 2.0, 1.0)
+                for k in range(len(packed) + 2)
+            ]
+        )
+        scans = [
+            (Vec2(3.0, -1.0), directions[::-1], longer),
+            (origin, directions, packed),
+            (Vec2(-2.0, 5.0), directions, np.empty((0, 6))),
+        ]
+        singles = [
+            batch_ray_hits_multi(np.array([[o.x, o.y]]), d[None], p[None], max_range)[0]
+            for o, d, p in scans
+        ]
+        slab = batch_ray_hits_multi(
+            np.array([[o.x, o.y] for o, _, _ in scans]),
+            np.stack([d for _, d, _ in scans]),
+            pad_box_packs([p for _, _, p in scans]),
+            max_range,
+        )
+        assert slab.shape == (3, len(directions))
+        assert np.array_equal(slab, np.stack(singles))
+        return singles[1]
 
     @staticmethod
     def _unit_directions(angles):
@@ -360,13 +393,13 @@ class TestBatchRayHits:
 
     def test_no_boxes_returns_max_range(self):
         dirs = self._unit_directions([0.0, 1.0])
-        ranges = batch_ray_hits(Vec2(0, 0), dirs, np.empty((0, 6)), 25.0)
+        ranges = self._hits(Vec2(0, 0), dirs, np.empty((0, 6)), 25.0)
         assert np.array_equal(ranges, [25.0, 25.0])
 
     def test_single_box_straight_ahead(self):
         box = OrientedBox(Vec2(10.0, 0.0), 0.0, 2.0, 1.0)
         dirs = self._unit_directions([0.0])
-        ranges = batch_ray_hits(Vec2(0, 0), dirs, pack_boxes([box]), 40.0)
+        ranges = self._hits(Vec2(0, 0), dirs, pack_boxes([box]), 40.0)
         assert ranges[0] == pytest.approx(8.0)
 
     def test_axis_parallel_rays_match_scalar(self):
@@ -380,14 +413,14 @@ class TestBatchRayHits:
         angles = [0.0, math.pi / 2.0, math.pi, -math.pi / 2.0]
         dirs = self._unit_directions(angles)
         origin = Vec2(0.0, 0.0)
-        got = batch_ray_hits(origin, dirs, pack_boxes(boxes), 30.0)
+        got = self._hits(origin, dirs, pack_boxes(boxes), 30.0)
         want = self._scalar_reference(origin, dirs, boxes, 30.0)
         assert np.array_equal(got, want)
 
     def test_origin_inside_box_hits_at_zero(self):
         box = OrientedBox(Vec2(0.0, 0.0), 0.3, 4.0, 4.0)
         dirs = self._unit_directions([0.0, 2.0])
-        ranges = batch_ray_hits(Vec2(0.5, -0.5), dirs, pack_boxes([box]), 40.0)
+        ranges = self._hits(Vec2(0.5, -0.5), dirs, pack_boxes([box]), 40.0)
         assert np.array_equal(ranges, [0.0, 0.0])
 
     @given(
@@ -411,6 +444,6 @@ class TestBatchRayHits:
         angles = rng.uniform(-math.pi, math.pi, n_rays)
         dirs = self._unit_directions(angles)
         max_range = float(rng.uniform(5.0, 60.0))
-        got = batch_ray_hits(origin, dirs, pack_boxes(boxes), max_range)
+        got = self._hits(origin, dirs, pack_boxes(boxes), max_range)
         want = self._scalar_reference(origin, dirs, boxes, max_range)
         assert np.array_equal(got, want), (got, want)

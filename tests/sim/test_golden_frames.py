@@ -1,12 +1,14 @@
 """Golden-frame regression tests for the sensor hot path.
 
-The vectorised renderer and LIDAR must be *bit-identical* to the scalar
-reference implementation they replaced: same RNG draws, same paint order,
-same pixels.  These tests render a fixed set of scenes — chosen to cover
-every branch of the hot path (billboards, fog, rain streaks including
-overlapping ones, night brightness, semantic/depth layers, LIDAR) — and
-compare SHA-256 digests of the raw output buffers against baselines
-captured from the pre-vectorisation renderer.
+The baselines are SHA-256 digests of raw output buffers captured from
+the pre-vectorisation scalar renderer and LIDAR; they are the scalar
+reference that the single, batched sensing path must reproduce bit for
+bit: same RNG draws, same paint order, same pixels.  These tests render
+a fixed set of scenes — chosen to cover every branch of the hot path
+(billboards, fog, rain streaks including overlapping ones, night
+brightness, semantic/depth layers, LIDAR) — one view per call
+(``E = 1``), and the RGB views once more together in one
+``render_batch`` slot (``E = 6``).
 
 Regenerate the baselines (only after an *intentional* visual change) with:
 
@@ -61,29 +63,30 @@ def _scene():
     return town, ego_pose, actors
 
 
+def _rgb_views(ego_pose, actors) -> dict:
+    """Every golden RGB view as ``{name: (ego, actors, weather, rng)}``."""
+    rain = get_preset("HardRainNoon")
+    return {
+        "rgb_clear": (ego_pose, actors, None, None),
+        "rgb_clear_no_actors": (ego_pose, [], None, None),
+        "rgb_fog": (ego_pose, actors, get_preset("FoggyNoon"), None),
+        "rgb_night": (ego_pose, actors, get_preset("Night"), None),
+        # Heavy rain draws ~43 streaks on a 96x64 frame, which reliably
+        # includes *overlapping* streaks — the case a naive fancy-indexed
+        # rain pass gets wrong (sequential double-darkening vs single write).
+        "rgb_rain": (ego_pose, actors, rain, np.random.default_rng(7)),
+        "rgb_rain_alt_seed": (ego_pose, actors, rain, np.random.default_rng(1234)),
+    }
+
+
 def compute_frames() -> dict[str, str]:
     """Render every golden scene and return ``{name: sha256}``."""
     town, ego_pose, actors = _scene()
     renderer = Renderer(town, CAMERA)
-    out: dict[str, str] = {}
-
-    out["rgb_clear"] = _digest(renderer.render(ego_pose, actors))
-    out["rgb_clear_no_actors"] = _digest(renderer.render(ego_pose, []))
-    out["rgb_fog"] = _digest(renderer.render(ego_pose, actors, get_preset("FoggyNoon")))
-    out["rgb_night"] = _digest(renderer.render(ego_pose, actors, get_preset("Night")))
-    # Heavy rain draws ~43 streaks on a 96x64 frame, which reliably
-    # includes *overlapping* streaks — the case a naive fancy-indexed
-    # rain pass gets wrong (sequential double-darkening vs single write).
-    out["rgb_rain"] = _digest(
-        renderer.render(
-            ego_pose, actors, get_preset("HardRainNoon"), np.random.default_rng(7)
-        )
-    )
-    out["rgb_rain_alt_seed"] = _digest(
-        renderer.render(
-            ego_pose, actors, get_preset("HardRainNoon"), np.random.default_rng(1234)
-        )
-    )
+    out = {
+        name: _digest(renderer.render(*view))
+        for name, view in _rgb_views(ego_pose, actors).items()
+    }
 
     semantic, depth = renderer.render_semantic_depth(ego_pose, actors)
     out["semantic"] = _digest(semantic)
@@ -130,6 +133,18 @@ def test_golden_frame_digest(frames, name):
         "change is intentional, regenerate tests/sim/golden_frames.json "
         "with: PYTHONPATH=src python tests/sim/test_golden_frames.py --regen"
     )
+
+
+def test_rgb_views_in_one_batch_match_digests():
+    """The six RGB views as one ``render_batch`` slot — clear, fog, night
+    and rain, with and without actors — reproduce every pinned digest."""
+    town, ego_pose, actors = _scene()
+    views = _rgb_views(ego_pose, actors)
+    images = Renderer(town, CAMERA).render_batch(list(views.values()))
+    baselines = load_baselines()
+    assert {name: _digest(img) for name, img in zip(views, images)} == {
+        name: baselines[name] for name in views
+    }
 
 
 def test_baseline_file_has_no_strays(frames):

@@ -39,6 +39,11 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             CameraModel(fov_deg=170.0)
 
+    @pytest.mark.parametrize("max_depth", [0.0, -5.0, math.nan, math.inf])
+    def test_rejects_degenerate_max_depth(self, max_depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            CameraModel(max_depth=max_depth)
+
     def test_focal_length(self):
         cam = CameraModel(width=100, fov_deg=90.0)
         assert cam.focal_px == pytest.approx(50.0)
@@ -207,7 +212,7 @@ class TestSensors:
         wp = town.spawn_points()[0]
         ego = world.spawn_ego(Transform(wp.position, wp.yaw))
         suite = SensorSuite(Camera(renderer), GPS(), Speedometer(), Lidar2D(n_rays=7))
-        bundle = suite.read_frame(world, ego, 5, world.rng)
+        bundle = suite.read_frame(world, ego, 5)
         assert bundle.frame == 5
         assert bundle.image.shape == (48, 64, 3)
         assert bundle.lidar is not None and bundle.lidar.shape == (7,)
@@ -218,7 +223,7 @@ class TestSensors:
         wp = town.spawn_points()[0]
         ego = world.spawn_ego(Transform(wp.position, wp.yaw))
         suite = SensorSuite(Camera(renderer))
-        bundle = suite.read_frame(world, ego, 0, world.rng)
+        bundle = suite.read_frame(world, ego, 0)
         clone = bundle.copy()
         clone.image[:] = 0
         assert bundle.image.any(), "copy must not share image memory"

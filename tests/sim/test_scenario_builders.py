@@ -117,9 +117,7 @@ class TestSimulationBuilder:
         assert handles.world.ego is not None
         roles = [a.role for a in handles.world.actors]
         assert roles.count("npc_vehicle") <= 2
-        bundle = handles.sensors.read_frame(
-            handles.world, handles.world.ego, 0, handles.world.rng
-        )
+        bundle = handles.sensors.read_frame(handles.world, handles.world.ego, 0)
         assert bundle.image.shape == (24, 32, 3)
 
     def test_fresh_world_each_episode(self):
