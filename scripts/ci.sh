@@ -81,7 +81,10 @@ python examples/distributed_queue_campaign.py --workers 2 --runs 2
 echo "== smoke: multiplexed-vs-serial byte-identity =="
 # The multiplexed backend's headline guarantee: a mixed-weather campaign
 # run with episodes interleaved at tick granularity (batched sensing,
-# slot of 4) must produce byte-identical records to the serial run.
+# slot of 4) must produce byte-identical records to the serial run --
+# through the "multiplexed" name, through "serial" given the same slot
+# (one in-process transport), and through process-pool workers that
+# each drain a slot of 2.
 python - <<'PY'
 from repro.agent import autopilot_agent_factory
 from repro.core import ParallelCampaignRunner, standard_scenarios
@@ -90,17 +93,19 @@ from repro.core.faults import GaussianNoise, OutputDelay
 scenarios = standard_scenarios(4, seed=23, n_npc_vehicles=2, n_pedestrians=1)
 injectors = {"none": [], "compound": [GaussianNoise(0.1), OutputDelay(3)]}
 
-def run(executor, slot):
-    return ParallelCampaignRunner(
+def run(executor, slot, workers=None):
+    return [r.to_dict() for r in ParallelCampaignRunner(
         scenarios, autopilot_agent_factory(), injectors,
-        executor=executor, episodes_per_slot=slot,
-    ).run().records
+        executor=executor, episodes_per_slot=slot, workers=workers,
+    ).run().records]
 
 serial = run("serial", 1)
-mux = run("multiplexed", 4)
-assert [r.to_dict() for r in serial] == [r.to_dict() for r in mux], \
-    "multiplexed records diverged from serial"
-print(f"multiplexed == serial over {len(serial)} episodes")
+for executor, slot, workers in [
+    ("multiplexed", 4, None), ("serial", 4, None), ("process", 2, 2),
+]:
+    assert run(executor, slot, workers) == serial, \
+        f"{executor} (slot {slot}) records diverged from serial"
+    print(f"{executor} (slot {slot}) == serial over {len(serial)} episodes")
 PY
 
 echo "== smoke: self-healing chaos campaign (quarantine + byte-identity) =="

@@ -637,8 +637,10 @@ class Campaign:
         """Build a campaign from a :class:`~repro.core.spec.CampaignSpec`.
 
         The keyword arguments override the spec's execution options (the
-        ``avfi run`` CLI flags); everything else — scenario suite, agent,
-        injectors, builder, base seed — comes from the spec.  The
+        ``avfi run`` CLI flags, resolved by
+        :meth:`~repro.core.spec.ExecutionSpec.resolve`); everything else —
+        scenario suite, agent, injectors, builder, base seed — comes from
+        the spec.  The
         injector table goes through
         :meth:`~repro.core.spec.CampaignSpec.expanded_injectors`, so
         compound entries arrive as their concrete expanded grid (the
@@ -646,20 +648,15 @@ class Campaign:
         here so building two campaigns from one spec never shares
         mutable fault state.
         """
-        execution = spec.execution
-        queue_dir = queue_dir if queue_dir is not None else execution.queue_dir
-        backend = execution.backend
-        if queue_dir is not None:
-            # A queue directory — from the spec or the override — always
-            # selects the queue backend, even when the spec pinned
-            # another one: the same archived spec must shard across
-            # machines when handed a --queue-dir.
-            backend = "queue"
-        elif backend == "queue":
-            raise ValueError(
-                "spec asks for the queue backend but no queue_dir is set "
-                "(spec.execution.queue_dir or the queue_dir= override)"
-            )
+        execution = spec.execution.resolve(
+            workers=workers,
+            queue_dir=queue_dir,
+            lease_s=lease_s,
+            checkpoint_path=checkpoint_path,
+            parquet_path=parquet_path,
+            fault_tolerance=fault_tolerance,
+            episodes_per_slot=episodes_per_slot,
+        )
         campaign = cls(
             spec.scenarios.build(),
             spec.agent.build(),
@@ -668,28 +665,9 @@ class Campaign:
                 for name, faults in spec.expanded_injectors().items()
             },
             builder=spec.build_builder(),
-            base_seed=execution.base_seed,
+            base_seed=spec.execution.base_seed,
             verbose=verbose,
-            workers=workers if workers is not None else execution.workers,
-            backend=backend,
-            queue_dir=queue_dir,
-            lease_s=lease_s if lease_s is not None else execution.lease_s,
-            checkpoint_path=(
-                checkpoint_path if checkpoint_path is not None else execution.checkpoint
-            ),
-            parquet_path=(
-                parquet_path if parquet_path is not None else execution.parquet
-            ),
-            fault_tolerance=(
-                fault_tolerance
-                if fault_tolerance is not None
-                else execution.fault_tolerance
-            ),
-            episodes_per_slot=(
-                episodes_per_slot
-                if episodes_per_slot is not None
-                else execution.episodes_per_slot
-            ),
+            **execution,
         )
         campaign.spec = spec
         return campaign

@@ -107,16 +107,12 @@ class Study:
         ``execution.checkpoint``; fault models are deep-copied out of
         the spec (see :meth:`~repro.core.campaign.Campaign.from_spec`).
         The spec's remaining execution options (workers, backend,
-        queue_dir, lease) become :meth:`run`'s defaults.
+        queue_dir, lease, parquet sink, slot size) become :meth:`run`'s
+        defaults.
         """
         import copy
 
-        execution = spec.execution
-        if execution.backend == "queue" and execution.queue_dir is None:
-            raise ValueError(
-                "spec asks for the queue backend but no queue_dir is set "
-                "(spec.execution.queue_dir, or pass queue_dir= to run())"
-            )
+        execution = spec.execution.resolve(checkpoint_path=checkpoint_path)
         return cls(
             spec.scenarios.build(),
             spec.agent.build(),
@@ -124,13 +120,11 @@ class Study:
                 name: [copy.deepcopy(fault) for fault in faults]
                 for name, faults in spec.expanded_injectors().items()
             },
-            checkpoint_path=(
-                checkpoint_path if checkpoint_path is not None else execution.checkpoint
-            ),
+            checkpoint_path=execution["checkpoint_path"],
             builder=spec.build_builder(),
-            base_seed=execution.base_seed,
+            base_seed=spec.execution.base_seed,
             verbose=verbose,
-            fault_tolerance=execution.fault_tolerance,
+            fault_tolerance=execution["fault_tolerance"],
             spec=spec,
         )
 
@@ -153,9 +147,11 @@ class Study:
     def _runner(
         self,
         workers: int | None = None,
-        executor=None,
+        backend=None,
         queue_dir=None,
         lease_s=None,
+        parquet_path=None,
+        episodes_per_slot: int | None = None,
     ) -> ParallelCampaignRunner:
         return ParallelCampaignRunner(
             self.scenarios,
@@ -164,10 +160,12 @@ class Study:
             builder=self.builder,
             base_seed=self.base_seed,
             workers=workers,
-            executor=executor,
+            executor=backend,
             queue_dir=queue_dir,
             lease_s=lease_s,
             checkpoint_path=self.checkpoint_path,
+            parquet_path=parquet_path,
+            episodes_per_slot=episodes_per_slot,
             # self.records/failures already hold the checkpoint contents
             # (loaded once in __post_init__) plus anything run since;
             # handing them over avoids re-parsing the JSONL on every
@@ -213,16 +211,17 @@ class Study:
         declaring ``workers: 8`` or the queue backend runs that way
         without repeating it here.
         """
+        options = {
+            "workers": workers,
+            "backend": executor,
+            "queue_dir": queue_dir,
+            "lease_s": lease_s,
+        }
         if self.spec is not None:
-            execution = self.spec.execution
-            workers = workers if workers is not None else execution.workers
-            queue_dir = queue_dir if queue_dir is not None else execution.queue_dir
-            lease_s = lease_s if lease_s is not None else execution.lease_s
-            if executor is None:
-                # A queue dir always selects the queue backend (mirrors
-                # Campaign.from_spec's override semantics).
-                executor = "queue" if queue_dir is not None else execution.backend
-        runner = self._runner(workers, executor, queue_dir=queue_dir, lease_s=lease_s)
+            options = self.spec.execution.resolve(**options)
+            # The study's own fields own the checkpoint and the policy.
+            del options["checkpoint_path"], options["fault_tolerance"]
+        runner = self._runner(**options)
         try:
             runner.run()
         finally:

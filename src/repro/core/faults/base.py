@@ -1,8 +1,8 @@
 """Fault-model foundations: triggers, activation logs, base classes.
 
-AVFI separates *what* a fault does (the fault model), *where* it lands (the
-localizer) and *when* it fires (the trigger).  This module defines the
-shared machinery:
+AVFI separates *what* a fault does and *where* it lands (the fault model,
+which draws its own sites from its seeded RNG) from *when* it fires (the
+trigger).  This module defines the shared machinery:
 
 * :class:`Trigger` — frame window plus per-frame probability;
 * :class:`ActivationLog` — which frames a fault actually fired on, feeding

@@ -31,36 +31,30 @@ canonical serial :func:`~repro.core.runner.attempt_task` path:
   discarded and the task re-runs from scratch serially, preserving retry
   accounting).
 
-:class:`MultiplexedExecutor` wraps the multiplexer in the executor
-protocol (same budget/quarantine semantics as
-:class:`~repro.core.runner.SerialExecutor`), and
-:func:`_run_mux_chunk` is the process-pool worker entry point that lets
-``backend="process"`` and the queue workers drain whole multiplexed
-slots.
+The multiplexer is the one in-process transport: the serial and
+multiplexed backends are both :class:`~repro.core.runner.SerialExecutor`
+running one slot (of 1 and of :data:`DEFAULT_EPISODES_PER_SLOT` by
+default), process-pool workers drain each chunk as a slot, and queue
+workers drain each batch of claims as a slot.  It only yields outcomes;
+the failure budget lives in
+:meth:`~repro.core.runner.ParallelCampaignRunner.run`.
 """
 
 from __future__ import annotations
 
 import copy
-import pickle
+import threading
 from typing import Iterator, Sequence
 
 from ..sim.sensors import read_frames_batch
 from .campaign import EpisodeDriver, RunRecord
 from .faults.base import ModelFault
-from .outcomes import EpisodeFailure, EpisodeOutcome, FaultTolerancePolicy
-from .runner import (
-    CampaignContext,
-    EpisodeTask,
-    _FailureBudget,
-    attempt_task,
-    context_policy,
-)
+from .outcomes import EpisodeFailure, FaultTolerancePolicy
+from .runner import CampaignContext, EpisodeTask, attempt_task, context_policy
 
 __all__ = [
     "DEFAULT_EPISODES_PER_SLOT",
     "EpisodeMultiplexer",
-    "MultiplexedExecutor",
     "multiplex_slot_size",
 ]
 
@@ -139,15 +133,22 @@ class EpisodeMultiplexer:
 
     # -- execution ------------------------------------------------------
     def run(
-        self, tasks: Sequence[EpisodeTask]
+        self, tasks: Sequence[EpisodeTask], stop: threading.Event | None = None
     ) -> Iterator[tuple[EpisodeTask, RunRecord | EpisodeFailure]]:
-        """Execute ``tasks``, yielding outcomes as episodes finish."""
+        """Execute ``tasks``, yielding outcomes as episodes finish.
+
+        Once ``stop`` is set no further episode starts; live episodes
+        run to completion and are still yielded.
+        """
+        stop = stop if stop is not None else threading.Event()
         pending = list(tasks)
         if self.episodes_per_slot <= 1 or self.policy.timeout_s is not None:
             # A one-episode slot is just the serial loop; and a per-episode
             # wall-clock sandbox cannot be enforced at tick granularity,
             # so a timeout policy always takes the sandboxed serial path.
             for task in pending:
+                if stop.is_set():
+                    return
                 yield task, self._drive_serial(task)
             return
         pending.reverse()  # pop() consumes in the given order
@@ -159,9 +160,9 @@ class EpisodeMultiplexer:
             driver.close()
 
         try:
-            while pending or live:
+            while live or (pending and not stop.is_set()):
                 # Refill the slot from the pending queue.
-                while len(live) < self.episodes_per_slot and pending:
+                while len(live) < self.episodes_per_slot and pending and not stop.is_set():
                     task = pending.pop()
                     if not self._multiplexable(task):
                         yield task, self._drive_serial(task)
@@ -233,78 +234,7 @@ class EpisodeMultiplexer:
                     close_driver(driver)
                     yield task, self._drive_serial(task)
         finally:
-            # Consumer bailed early (budget abort, closed generator):
+            # Consumer bailed early (closed generator, consumer error):
             # harnesses must detach and trace files must close.
             for driver in list(open_drivers):
                 driver.close()
-
-
-class MultiplexedExecutor:
-    """Executor protocol wrapper: one multiplexed slot in this process.
-
-    Budget/quarantine semantics mirror
-    :class:`~repro.core.runner.SerialExecutor`: terminal failures within
-    the policy's budget are yielded quarantined, one over budget aborts
-    with the original error after all earlier outcomes were yielded.
-    """
-
-    name = "multiplexed"
-
-    def __init__(self, episodes_per_slot: int | None = None):
-        if episodes_per_slot is not None and episodes_per_slot < 1:
-            raise ValueError(
-                f"episodes_per_slot must be >= 1 (got {episodes_per_slot})"
-            )
-        self.episodes_per_slot = episodes_per_slot
-
-    def run(
-        self, context: CampaignContext, tasks: Sequence[EpisodeTask]
-    ) -> Iterator[tuple[EpisodeTask, RunRecord | EpisodeFailure]]:
-        """Yield ``(task, outcome)`` as episodes finish."""
-        policy = context_policy(context)
-        if policy.timeout_s is not None:
-            # Sandbox children fork from this process (serial fallback
-            # path): warm the scene cache once, like SerialExecutor.
-            limit = context.builder.scene_cache.max_entries
-            for config in context.warm_configs[:limit]:
-                context.builder.renderer_for(config)
-        budget = _FailureBudget(policy.failure_budget)
-        # Explicit executor knob wins; then the context's; a bare
-        # "multiplexed" backend still actually multiplexes.
-        slot = self.episodes_per_slot
-        if slot is None:
-            slot = multiplex_slot_size(context)
-            if slot <= 1:
-                slot = DEFAULT_EPISODES_PER_SLOT
-        mux = EpisodeMultiplexer(context, episodes_per_slot=slot, policy=policy)
-        for task, result in mux.run(tasks):
-            if isinstance(result, EpisodeFailure):
-                if not budget.admit(result):
-                    result.raise_error()
-                result.outcome = EpisodeOutcome.QUARANTINED
-            yield task, result
-
-
-def _run_mux_chunk(
-    tasks: Sequence[EpisodeTask],
-) -> list[tuple[int, RunRecord | EpisodeFailure]]:
-    """Process-pool worker entry: drain one chunk as a multiplexed slot.
-
-    The multiplexed counterpart of
-    :func:`~repro.core.runner._run_task_chunk` — failures come back as
-    values for the coordinator's budget, carried exceptions are
-    pickle-tested before crossing the result pipe.
-    """
-    from . import runner
-
-    context = runner._WORKER_CONTEXT
-    assert context is not None, "worker pool not initialised"
-    out: list[tuple[int, RunRecord | EpisodeFailure]] = []
-    for task, result in EpisodeMultiplexer(context).run(tasks):
-        if isinstance(result, EpisodeFailure) and result.exception is not None:
-            try:
-                pickle.dumps(result.exception)
-            except Exception:
-                result.exception = RuntimeError(f"{result.error_type}: {result.error}")
-        out.append((task.index, result))
-    return out

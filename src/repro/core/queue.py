@@ -88,11 +88,10 @@ from contextlib import ExitStack
 
 from .campaign import RunRecord
 from .multiplex import EpisodeMultiplexer, multiplex_slot_size
-from .outcomes import EpisodeFailure, EpisodeOutcome, reap_process
+from .outcomes import EpisodeFailure, reap_process
 from .runner import (
     CampaignContext,
     EpisodeTask,
-    _FailureBudget,
     _init_worker,
     append_jsonl_line,
     context_policy,
@@ -1163,28 +1162,31 @@ class QueueExecutor:
         return procs
 
     def run(
-        self, context: CampaignContext, tasks: Sequence[EpisodeTask]
+        self,
+        context: CampaignContext,
+        tasks: Sequence[EpisodeTask],
+        stop: threading.Event | None = None,
     ) -> Iterator[tuple[EpisodeTask, RunRecord | EpisodeFailure]]:
         """Yield ``(task, outcome)`` as workers complete episodes.
 
         Workers park terminal episode failures in ``failed/`` with their
         structured :class:`~repro.core.outcomes.EpisodeFailure`; this
-        loop converts them within the campaign's failure budget — append
-        the quarantine row to the shared checkpoint, retire the task to
-        ``quarantined/``, yield it — and aborts once the budget is
-        exceeded (or on any unstructured infrastructure failure), leaving
-        the task parked so a re-publish retries it.  Completed records
-        are yielded even when another task fails or the queue stalls —
-        the runner checkpoints finished work first, then the error
-        propagates, mirroring :class:`ProcessExecutor`'s drain semantics.
+        loop yields each one to the runner, which decides its fate.  If
+        ``stop`` is still clear when iteration resumes, the runner
+        admitted it: the quarantine row goes to the shared checkpoint
+        and the task retires to ``quarantined/``.  If the runner set
+        ``stop`` instead, the task stays parked in ``failed/`` (so a
+        re-publish retries it) and the loop ends; records the workers
+        already appended are in the checkpoint either way.  An
+        unstructured park (infrastructure failure) or a stalled queue
+        raises after every completed record was yielded.
         """
         tasks = list(tasks)
         if not tasks:
             return
+        stop = stop if stop is not None else threading.Event()
         by_identity = {task.identity(): task for task in tasks}
         pending = set(by_identity)
-        policy = context_policy(context)
-        budget = _FailureBudget(policy.failure_budget)
         self.broker.publish(context, tasks, spec=self._spec)
         procs = self._spawn_local_workers()
         offset = 0
@@ -1195,7 +1197,7 @@ class QueueExecutor:
         scan_interval = max(self.poll_s, min(self.lease_s / 4.0, 5.0))
         last_scan = float("-inf")
         try:
-            while pending:
+            while pending and not stop.is_set():
                 offset, fresh = self.broker.read_results(offset)
                 progressed = False
                 for record in fresh:
@@ -1231,14 +1233,13 @@ class QueueExecutor:
                             # completed record): journal it and move on.
                             self.broker.quarantine(str(report.get("task")))
                             continue
-                        if not budget.admit(failure):
-                            failure.raise_error()
-                        failure.outcome = EpisodeOutcome.QUARANTINED
+                        yield by_identity[identity], failure
+                        if stop.is_set():
+                            return
                         self.broker.append_failure(failure)
                         self.broker.quarantine(str(report.get("task")))
                         pending.discard(identity)
                         progressed = True
-                        yield by_identity[identity], failure
                 if not pending:
                     break
                 if progressed:

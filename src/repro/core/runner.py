@@ -23,12 +23,20 @@ parquet copy is the analytics artifact for million-episode aggregation.
 When pyarrow is missing the runner degrades to JSONL-only with a
 warning rather than failing the campaign.
 
-The execution strategy is pluggable: :class:`SerialExecutor` runs tasks
-in-process (tests, debugging, ``workers<=1``), :class:`ProcessExecutor`
-fans chunks of tasks out to a :class:`~concurrent.futures.ProcessPoolExecutor`,
-and :class:`~repro.core.queue.QueueExecutor` shards the grid across
-*machines* through a shared broker directory (``executor="queue"`` /
-``queue_dir=``).  All feed the same top-level, picklable
+Executors are plain *transports*: :class:`SerialExecutor` runs tasks
+in-process through one :class:`~repro.core.multiplex.EpisodeMultiplexer`
+slot (``"serial"`` and ``"multiplexed"`` differ only in the default slot
+size, 1 vs 4), :class:`ProcessExecutor` fans chunks of tasks out to a
+:class:`~concurrent.futures.ProcessPoolExecutor`, and
+:class:`~repro.core.queue.QueueExecutor` shards the grid across
+*machines* through a shared broker (``executor="queue"`` /
+``queue_dir=``).  Each yields ``(task, RunRecord | EpisodeFailure)`` and
+never decides an episode failure's fate: :meth:`ParallelCampaignRunner.run`
+holds the campaign's one failure budget, marks admitted failures
+quarantined, and on the first failure over budget sets the ``stop``
+event it passed to the transport, keeps checkpointing what the
+transport still yields, and re-raises the original error once it is
+exhausted (abort-then-drain).  All feed the same top-level, picklable
 :func:`execute_task` → :func:`~repro.core.campaign.run_episode` path, so
 the serial run is the ground truth every distributed run must reproduce
 exactly.
@@ -40,12 +48,13 @@ import json
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 import traceback
 from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..sim.builders import SimulationBuilder
 from ..sim.scenario import Scenario
@@ -484,60 +493,50 @@ def attempt_task(
     return failure
 
 
-class _FailureBudget:
-    """Campaign-level quarantine budget shared by all executors.
-
-    ``admit`` answers "may this terminal failure be quarantined so the
-    campaign continues?" — ``None`` means unlimited, ``0`` (the default)
-    means the first failure aborts, matching historical behaviour.
-    """
-
-    def __init__(self, budget: int | None):
-        self.budget = budget
-        self.used = 0
-
-    def admit(self, failure: EpisodeFailure) -> bool:
-        if self.budget is not None and self.used >= self.budget:
-            return False
-        self.used += 1
-        return True
-
-
 # ----------------------------------------------------------------------
-# Executors
+# Executors: transports that yield outcomes, never judge failures
 # ----------------------------------------------------------------------
 
 #: Per-process campaign context, set once by the pool initializer.
 _WORKER_CONTEXT: CampaignContext | None = None
 
 
-def _init_worker(context: CampaignContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-    # Warm this worker's scene cache up front: town building and texture
-    # rasterisation happen once per process here instead of lazily inside
-    # the first scheduled episode.  Warming more configs than the cache
-    # holds would evict the early ones again, so cap at the cache size
-    # (the first configs run first in grid order).
+def _warm_scene_cache(context: CampaignContext) -> None:
+    """Pre-build the campaign's scenes in this process's scene cache.
+
+    Town building and texture rasterisation then happen once per process
+    instead of lazily inside the first scheduled episode (and sandbox
+    children forked from here inherit them copy-on-write).  Warming more
+    configs than the cache holds would evict the early ones again, so cap
+    at the cache size (the first configs run first in grid order).
+    """
     limit = context.builder.scene_cache.max_entries
     for config in context.warm_configs[:limit]:
         context.builder.renderer_for(config)
 
 
-def _run_task_chunk(
+def _init_worker(context: CampaignContext) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
+    _warm_scene_cache(context)
+
+
+def _run_chunk(
     tasks: Sequence[EpisodeTask],
 ) -> list[tuple[int, RunRecord | EpisodeFailure]]:
-    """Worker-side entry point: execute a chunk against the process context.
+    """Worker-side entry point: drain a chunk as one slot of the context's
+    size (a slot of one is the plain :func:`attempt_task` loop).
 
-    Failures come back as values, not raises — the coordinator applies
-    the campaign-level budget (workers cannot see each other's failures).
-    The carried exception object is pickle-tested here because the whole
-    chunk result must cross the pool's result pipe.
+    Failures come back as values, not raises — the coordinator's runner
+    applies the campaign-level budget (workers cannot see each other's
+    failures).  The carried exception object is pickle-tested here
+    because the whole chunk result must cross the pool's result pipe.
     """
+    from .multiplex import EpisodeMultiplexer  # deferred: imports us
+
     assert _WORKER_CONTEXT is not None, "worker pool not initialised"
     out: list[tuple[int, RunRecord | EpisodeFailure]] = []
-    for task in tasks:
-        result = attempt_task(_WORKER_CONTEXT, task)
+    for task, result in EpisodeMultiplexer(_WORKER_CONTEXT).run(tasks):
         if isinstance(result, EpisodeFailure) and result.exception is not None:
             try:
                 pickle.dumps(result.exception)
@@ -550,38 +549,40 @@ def _run_task_chunk(
 class SerialExecutor:
     """In-process execution — deterministic, no pickling, no subprocesses.
 
-    The reference implementation parallel executors are checked against,
-    and the right choice for ``workers<=1``, debugging and unit tests.
+    Runs one :class:`~repro.core.multiplex.EpisodeMultiplexer` slot of
+    ``episodes_per_slot`` live episodes (``None``: the context's slot
+    size; a slot of one is the canonical :func:`attempt_task` loop).  The
+    reference implementation parallel executors are checked against, and
+    the right choice for ``workers<=1``, debugging and unit tests.
     """
 
     name = "serial"
 
-    def run(
-        self, context: CampaignContext, tasks: Sequence[EpisodeTask]
-    ) -> Iterator[tuple[EpisodeTask, RunRecord | EpisodeFailure]]:
-        """Yield ``(task, outcome)`` as episodes complete (here: grid order).
+    def __init__(self, episodes_per_slot: int | None = None):
+        if episodes_per_slot is not None and episodes_per_slot < 1:
+            raise ValueError(
+                f"episodes_per_slot must be >= 1 (got {episodes_per_slot})"
+            )
+        self.episodes_per_slot = episodes_per_slot
 
-        Terminal failures within the policy's budget are yielded as
-        quarantined :class:`~repro.core.outcomes.EpisodeFailure` rows;
-        one over budget aborts with the original exception (after every
-        earlier episode has been yielded — completed work survives).
+    def run(
+        self,
+        context: CampaignContext,
+        tasks: Sequence[EpisodeTask],
+        stop: threading.Event | None = None,
+    ) -> Iterator[tuple[EpisodeTask, RunRecord | EpisodeFailure]]:
+        """Yield ``(task, outcome)`` as episodes complete.
+
+        Once ``stop`` is set no new episode starts; live ones finish.
         """
-        policy = context_policy(context)
-        if policy.timeout_s is not None:
+        from .multiplex import EpisodeMultiplexer  # deferred: imports us
+
+        mux = EpisodeMultiplexer(context, self.episodes_per_slot)
+        if mux.policy.timeout_s is not None:
             # Sandbox children fork from this process: warm the scene
-            # cache here once so every attempt inherits built scenes
-            # copy-on-write instead of rebuilding them per child.
-            limit = context.builder.scene_cache.max_entries
-            for config in context.warm_configs[:limit]:
-                context.builder.renderer_for(config)
-        budget = _FailureBudget(policy.failure_budget)
-        for task in tasks:
-            result = attempt_task(context, task, policy)
-            if isinstance(result, EpisodeFailure):
-                if not budget.admit(result):
-                    result.raise_error()
-                result.outcome = EpisodeOutcome.QUARANTINED
-            yield task, result
+            # cache once so every attempt inherits built scenes.
+            _warm_scene_cache(context)
+        yield from mux.run(tasks, stop)
 
 
 class ProcessExecutor:
@@ -593,7 +594,9 @@ class ProcessExecutor:
     starts.  For sweeps of very short episodes a larger ``chunksize``
     amortises scheduling overhead — at the cost of checkpoint
     granularity, since a chunk's records only travel back (and get
-    checkpointed) when the whole chunk finishes.
+    checkpointed) when the whole chunk finishes.  A context asking for
+    episode multiplexing makes each worker drain its chunk as one slot;
+    the chunk then defaults to the slot size so slots actually fill.
 
     Results stream back in completion order; the runner re-orders them.
     """
@@ -611,77 +614,57 @@ class ProcessExecutor:
         return [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
     def run(
-        self, context: CampaignContext, tasks: Sequence[EpisodeTask]
+        self,
+        context: CampaignContext,
+        tasks: Sequence[EpisodeTask],
+        stop: threading.Event | None = None,
     ) -> Iterator[tuple[EpisodeTask, RunRecord | EpisodeFailure]]:
         """Yield ``(task, outcome)`` as episodes complete (arbitrary order).
 
         Workers retry/time-out episodes locally (:func:`attempt_task`)
-        and return terminal failures as values; the campaign-level
-        failure budget is applied *here*, on the coordinator, because
-        workers cannot see each other's failures.  When the budget is
-        exceeded (or a worker chunk raises an infrastructure error) the
-        queued chunks are cancelled but every already-finished episode is
-        still yielded — so the runner checkpoints all completed work —
-        and the abort re-raises after the drain.
+        and return terminal failures as values.  When ``stop`` is set (or
+        a worker chunk raises an infrastructure error) the queued chunks
+        are cancelled but every running one is drained and yielded — so
+        the runner checkpoints all completed work — and a chunk error
+        re-raises after the drain.
         """
+        from .multiplex import multiplex_slot_size  # deferred: imports us
+
         tasks = list(tasks)
         if not tasks:
             return
         by_index = {task.index: task for task in tasks}
-        policy = context_policy(context)
-        budget = _FailureBudget(policy.failure_budget)
-        # A context asking for episode multiplexing makes each worker
-        # drain its chunk as one multiplexed slot; the chunk then
-        # defaults to the slot size so slots actually fill.
-        from .multiplex import _run_mux_chunk, multiplex_slot_size
-
-        slot = multiplex_slot_size(context)
-        chunk_fn = _run_mux_chunk if slot > 1 else _run_task_chunk
         pool = ProcessPoolExecutor(
             max_workers=self.workers, initializer=_init_worker, initargs=(context,)
         )
         try:
             futures = [
-                pool.submit(chunk_fn, chunk)
-                for chunk in self._chunks(tasks, default=slot)
+                pool.submit(_run_chunk, chunk)
+                for chunk in self._chunks(tasks, default=multiplex_slot_size(context))
             ]
+            stop = stop if stop is not None else threading.Event()
             error: BaseException | None = None
-
-            def abort(exc: BaseException) -> None:
-                nonlocal error
-                if error is None:
-                    error = exc
-                    for other in futures:
-                        other.cancel()
-
+            draining = False
             for future in as_completed(futures):
                 try:
                     chunk_results = future.result()
                 except CancelledError:
                     continue
                 except Exception as exc:
-                    abort(exc)
-                    continue
+                    error = error or exc
+                    chunk_results = []
                 for index, result in chunk_results:
-                    if isinstance(result, EpisodeFailure):
-                        if error is not None:
-                            # Already aborting: leave the failure
-                            # uncheckpointed so it re-runs on resume.
-                            continue
-                        if not budget.admit(result):
-                            try:
-                                result.raise_error()
-                            except BaseException as exc:
-                                abort(exc)
-                            continue
-                        result.outcome = EpisodeOutcome.QUARANTINED
                     yield by_index[index], result
+                if not draining and (error is not None or stop.is_set()):
+                    draining = True
+                    for other in futures:
+                        other.cancel()
             if error is not None:
                 raise error
         finally:
-            # On abnormal exit (worker exception, consumer error, closed
-            # generator) queued chunks must not keep burning compute whose
-            # results nobody will collect; a no-op on normal completion.
+            # On abnormal exit (consumer error, closed generator) queued
+            # chunks must not keep burning compute whose results nobody
+            # will collect; a no-op on normal completion.
             pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -705,10 +688,12 @@ def make_executor(
     contradiction and raises rather than silently dropping the workers.
     An executor instance is authoritative (its own worker count wins).
 
-    ``"multiplexed"`` runs one in-process multiplexed slot
-    (:class:`~repro.core.multiplex.MultiplexedExecutor`) of
-    ``episodes_per_slot`` live episodes.  The knob also composes with
-    the other backends through the campaign context
+    ``"serial"`` and ``"multiplexed"`` are the same in-process
+    transport (:class:`SerialExecutor`) running one slot of
+    ``episodes_per_slot`` live episodes; they differ only in the slot
+    used when none is given (1 vs
+    :data:`~repro.core.multiplex.DEFAULT_EPISODES_PER_SLOT`).  The knob
+    also composes with the other backends through the campaign context
     (:attr:`CampaignContext.episodes_per_slot`): process-pool and queue
     workers drain whole multiplexed slots when it is above 1.
 
@@ -727,11 +712,9 @@ def make_executor(
             executor = "queue"
         elif parallel_requested:
             executor = "process"
-        elif episodes_per_slot is not None and episodes_per_slot > 1:
+        else:
             # A bare slot-size request multiplexes in this process; with
             # workers/queue above it rides the context into each worker.
-            executor = "multiplexed"
-        else:
             executor = "serial"
     if queue_dir is not None:
         spec = executor if isinstance(executor, str) else getattr(executor, "name", None)
@@ -746,13 +729,15 @@ def make_executor(
                 f"executor='serial' conflicts with workers={workers}; "
                 "drop one of the two"
             )
-        return executor if isinstance(executor, SerialExecutor) else SerialExecutor()
+        if isinstance(executor, SerialExecutor):
+            return executor
+        return SerialExecutor(episodes_per_slot=episodes_per_slot)
     if not isinstance(executor, str):
         return executor
     if executor == "process":
         return ProcessExecutor(workers=workers, chunksize=chunksize)
     if executor == "multiplexed":
-        from .multiplex import MultiplexedExecutor  # deferred: imports us
+        from .multiplex import DEFAULT_EPISODES_PER_SLOT  # deferred: imports us
 
         if parallel_requested:
             raise ValueError(
@@ -760,7 +745,7 @@ def make_executor(
                 "multiplexing is single-process (combine it with the "
                 "process or queue backend for multi-worker slots)"
             )
-        return MultiplexedExecutor(episodes_per_slot=episodes_per_slot)
+        return SerialExecutor(episodes_per_slot=episodes_per_slot or DEFAULT_EPISODES_PER_SLOT)
     if executor == "queue":
         from .queue import QueueExecutor  # deferred: queue imports us
 
@@ -1028,9 +1013,21 @@ class ParallelCampaignRunner:
         order), but the returned result is always canonical grid order —
         resumed and fresh runs, serial and parallel executors, all yield
         the same record sequence.
+
+        This loop is the one place an episode failure's fate is decided.
+        Terminal failures within the policy's ``failure_budget`` are
+        marked quarantined and checkpointed, so resume never re-runs
+        them.  The first failure over budget aborts: the transport is
+        told to stop, everything it still yields is drained — records
+        checkpointed, later failures left uncheckpointed so they re-run
+        on resume — and then the original error is re-raised.
         """
         pending = self.pending()
         context = self.context()
+        budget = context_policy(context).failure_budget
+        quarantined = 0
+        abort: EpisodeFailure | None = None
+        stop = threading.Event()
         if self.spec is not None and hasattr(self.executor, "publish_spec"):
             # Queue brokers archive the campaign's declarative spec next
             # to the pickled context, so any attached machine can read
@@ -1039,8 +1036,18 @@ class ParallelCampaignRunner:
             self.executor.publish_spec(self.spec)
         sink = self._open_parquet_sink()
         try:
-            for task, result in self.executor.run(context, pending):
+            for task, result in self.executor.run(context, pending, stop):
                 if isinstance(result, EpisodeFailure):
+                    if budget is not None and quarantined >= budget:
+                        # Over budget: left uncheckpointed, so it re-runs
+                        # on resume; the first such error is re-raised.
+                        # Set before the transport resumes: a queue
+                        # transport reads it as "not admitted".
+                        abort = abort or result
+                        stop.set()
+                        continue
+                    quarantined += 1
+                    result.outcome = EpisodeOutcome.QUARANTINED
                     self._new_failures[task.index] = result
                     self._append_checkpoint(result)
                     if sink is not None:
@@ -1069,6 +1076,8 @@ class ParallelCampaignRunner:
         finally:
             if sink is not None:
                 sink.close()
+        if abort is not None:
+            abort.raise_error()
         return CampaignResult(self.grid_records(), failures=self.grid_failures())
 
     def grid_records(self) -> list[RunRecord]:

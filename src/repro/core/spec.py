@@ -357,6 +357,37 @@ class ExecutionSpec:
             ),
         }
 
+    def resolve(self, **overrides) -> dict:
+        """The effective execution options, keyed as
+        :class:`~repro.core.campaign.Campaign`'s keyword arguments.
+
+        Every non-``None`` override (the ``avfi run`` flags, a study's
+        :meth:`~repro.core.experiment.Study.run` arguments) wins over
+        the spec's field.  Without a ``backend`` override, a queue
+        directory — from the spec or an override — selects the queue
+        backend even when the spec pinned another one: the same archived
+        spec must shard across machines when handed a ``--queue-dir``.
+        """
+        options = {
+            "workers": self.workers,
+            "backend": self.backend,
+            "queue_dir": self.queue_dir,
+            "lease_s": self.lease_s,
+            "checkpoint_path": self.checkpoint,
+            "parquet_path": self.parquet,
+            "fault_tolerance": self.fault_tolerance,
+            "episodes_per_slot": self.episodes_per_slot,
+        }
+        options.update({k: v for k, v in overrides.items() if v is not None})
+        if overrides.get("backend") is None and options["queue_dir"] is not None:
+            options["backend"] = "queue"
+        elif options["backend"] == "queue" and options["queue_dir"] is None:
+            raise ValueError(
+                "spec asks for the queue backend but no queue_dir is set "
+                "(spec.execution.queue_dir or the queue_dir= override)"
+            )
+        return options
+
     @classmethod
     def from_dict(cls, data, path: str = "spec.execution") -> "ExecutionSpec":
         """Parse and validate."""

@@ -17,6 +17,7 @@ import pytest
 
 from repro.agent import autopilot_agent_factory
 from repro.core import (
+    EpisodeFailureError,
     EpisodeOutcome,
     EpisodeTimeout,
     FaultTolerancePolicy,
@@ -33,6 +34,7 @@ from repro.core.chaos import (
     InjectedCrash,
 )
 from repro.core.faults import OutputDelay
+from repro.core.runner import load_checkpoint_rows, record_identity
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
 from repro.sim.town import GridTownConfig
@@ -162,21 +164,66 @@ class TestPoisonEpisodeAcceptance:
         assert loaded.records == result.records
         assert loaded.failures == result.failures
 
+    @pytest.mark.parametrize(
+        "backend", ["serial", "multiplexed", "process", "queue"]
+    )
     def test_budget_exceeded_aborts_with_the_original_error(
-        self, builder, scenarios, tmp_path
+        self, builder, scenarios, tmp_path, backend
     ):
-        """One poison episode over budget aborts the campaign — after
-        completed episodes have drained to the checkpoint."""
+        """One poison episode over budget aborts the campaign on every
+        backend — after completed episodes have drained to the
+        checkpoint — and leaves that episode to re-run on resume."""
         checkpoint = tmp_path / "abort.jsonl"
-        runner = _runner(
-            builder, scenarios, _poison_grid(),
-            policy=_policy(failure_budget=1), checkpoint_path=checkpoint,
-        )
-        # crash (admitted, budget spent) ... hang (over budget: aborts
-        # with its own EpisodeTimeout).
-        with pytest.raises(EpisodeTimeout):
-            runner.run()
-        assert len(runner.grid_records()) == 2, "survivors checkpoint first"
+        queue_dir = tmp_path / "q"
+
+        def make_runner():
+            execution = {
+                "serial": dict(checkpoint_path=checkpoint),
+                "multiplexed": dict(
+                    executor="multiplexed", episodes_per_slot=4,
+                    checkpoint_path=checkpoint,
+                ),
+                "process": dict(workers=2, checkpoint_path=checkpoint),
+                "queue": dict(executor=QueueExecutor(
+                    queue_dir, workers=1, lease_s=10.0, poll_s=0.05,
+                    stall_timeout=120.0,
+                )),
+            }[backend]
+            return _runner(
+                builder, scenarios, _poison_grid(),
+                policy=_policy(failure_budget=1), **execution,
+            )
+
+        # One poison episode is admitted (budget spent); the other is
+        # over budget and aborts with its own original exception.
+        with pytest.raises(
+            (InjectedCrash, EpisodeTimeout, EpisodeFailureError)
+        ) as raised:
+            make_runner().run()
+        resumed = make_runner()
+        (over,) = resumed.pending()
+        admitted = {"chaos-crash", "chaos-hang"} - {over.injector}
+        expected = {"chaos-crash": InjectedCrash, "chaos-hang": EpisodeTimeout}
+        error = raised.value
+        if backend == "queue":
+            # Parked failures cross the broker as JSON: the exception
+            # object cannot travel, its type name does.
+            assert type(error) is EpisodeFailureError
+            assert error.failure.error_type == expected[over.injector].__name__
+        else:
+            assert type(error) is expected[over.injector]
+        assert [r.injector for r in resumed.grid_records()] == ["none", "delay"]
+        assert [f.injector for f in resumed.grid_failures()] == sorted(admitted)
+        records, failures = load_checkpoint_rows(resumed.checkpoint_path)
+        assert over.identity() not in {
+            record_identity(row) for row in records + failures
+        }, "the over-budget episode must be neither quarantined nor checkpointed"
+        if backend == "queue":
+            parked = [
+                report["failure"]["injector"]
+                for report in FilesystemBroker(queue_dir).failures()
+            ]
+            assert parked == [over.injector], "still parked in failed/"
 
     def test_resume_skips_quarantined_episodes(
         self, builder, scenarios, tmp_path

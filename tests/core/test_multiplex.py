@@ -20,8 +20,8 @@ from repro.core import (
     EpisodeDriver,
     EpisodeMultiplexer,
     FaultTolerancePolicy,
-    MultiplexedExecutor,
     ParallelCampaignRunner,
+    SerialExecutor,
     make_executor,
     multiplex_slot_size,
     run_episode,
@@ -191,17 +191,28 @@ class TestMultiplexedByteIdentity:
 class TestSlotResolution:
     def test_make_executor_multiplexed(self):
         ex = make_executor("multiplexed", episodes_per_slot=6)
-        assert isinstance(ex, MultiplexedExecutor)
+        assert isinstance(ex, SerialExecutor)
         assert ex.episodes_per_slot == 6
+        bare = make_executor("multiplexed")
+        assert isinstance(bare, SerialExecutor)
+        assert bare.episodes_per_slot == DEFAULT_EPISODES_PER_SLOT
+
+    def test_serial_honours_the_slot(self):
+        """"serial" with a slot is the same transport as "multiplexed"
+        (it used to ignore the slot)."""
+        ex = make_executor("serial", episodes_per_slot=4)
+        assert isinstance(ex, SerialExecutor)
+        assert ex.episodes_per_slot == 4
+        assert make_executor("serial").episodes_per_slot is None
 
     def test_multiplexed_conflicts_with_workers(self):
         with pytest.raises(ValueError, match="conflicts with workers"):
             make_executor("multiplexed", workers=4)
 
     def test_bare_slot_size_selects_multiplexed(self):
-        assert isinstance(
-            make_executor(None, episodes_per_slot=4), MultiplexedExecutor
-        )
+        ex = make_executor(None, episodes_per_slot=4)
+        assert isinstance(ex, SerialExecutor)
+        assert ex.episodes_per_slot == 4
         # ...but an explicit worker pool keeps the process backend.
         assert make_executor(None, workers=3, episodes_per_slot=4).name == "process"
 
@@ -225,11 +236,12 @@ class TestSlotResolution:
         )
         mux = EpisodeMultiplexer(runner.context())
         assert mux.episodes_per_slot == 1  # context says 1...
-        assert DEFAULT_EPISODES_PER_SLOT > 1  # ...executor upgrades it
+        # ...the executor upgrades it.
+        assert runner.executor.episodes_per_slot == DEFAULT_EPISODES_PER_SLOT > 1
 
     def test_validation(self, builder, scenarios):
         with pytest.raises(ValueError):
-            MultiplexedExecutor(episodes_per_slot=0)
+            SerialExecutor(episodes_per_slot=0)
         with pytest.raises(ValueError):
             Campaign(
                 scenarios, autopilot_agent_factory(), {"none": []},

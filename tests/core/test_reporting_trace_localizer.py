@@ -1,15 +1,9 @@
-"""Tests for reporting, tracing and fault localisation."""
+"""Tests for reporting and tracing."""
 
-import numpy as np
 import pytest
 
-from repro.agent.ilcnn import ILCNN, ILCNNConfig
-from repro.core.localizer import FaultLocalizer
 from repro.core.reporting import bar_chart, boxplot, figure_header, format_table
 from repro.core.trace import TraceReader, TraceWriter, compare_traces
-
-TINY = ILCNNConfig(input_hw=(16, 24), conv_channels=(4, 6, 6), trunk_dim=16,
-                   speed_dim=4, branch_hidden=8, dropout=0.0)
 
 
 class TestFormatTable:
@@ -134,72 +128,3 @@ class TestTrace:
         assert div is not None
         assert div.field == "length"
 
-
-class TestFaultLocalizer:
-    def test_pixel_region_inside_image(self):
-        loc = FaultLocalizer(0)
-        for _ in range(50):
-            site = loc.pick_pixel_region((48, 64), size_frac=0.3)
-            assert 0 <= site.row and site.row + site.height <= 48
-            assert 0 <= site.col and site.col + site.width <= 64
-
-    def test_pixel_region_validation(self):
-        with pytest.raises(ValueError):
-            FaultLocalizer(0).pick_pixel_region((48, 64), size_frac=0.0)
-
-    def test_weight_sites_valid(self):
-        model = ILCNN(TINY)
-        named = model.named_parameters()
-        sites = FaultLocalizer(1).pick_weights(model, 20)
-        assert len(sites) == 20
-        for site in sites:
-            assert site.param in named
-            assert 0 <= site.flat_index < named[site.param].size
-
-    def test_weight_sites_spread_over_params(self):
-        model = ILCNN(TINY)
-        sites = FaultLocalizer(2).pick_weights(model, 200)
-        assert len({s.param for s in sites}) > 3
-
-    def test_neuron_sites(self):
-        model = ILCNN(TINY)
-        sites = FaultLocalizer(3).pick_neurons(model, 10)
-        blocks = model.submodules()
-        for site in sites:
-            assert site.block in blocks
-            module = blocks[site.block].modules[site.layer_index]
-            width = module.parameters()[0].data.shape[-1]
-            assert 0 <= site.unit < width
-
-    def test_neuron_sites_restricted_block(self):
-        model = ILCNN(TINY)
-        sites = FaultLocalizer(4).pick_neurons(model, 5, block="join")
-        assert all(s.block == "join" for s in sites)
-
-    def test_bit_site_range(self):
-        loc = FaultLocalizer(5)
-        for _ in range(50):
-            site = loc.pick_bit(20, 32)
-            assert 20 <= site.bit < 32
-        with pytest.raises(ValueError):
-            loc.pick_bit(10, 40)
-
-    def test_channel_site(self):
-        loc = FaultLocalizer(6)
-        channels = {loc.pick_channel().channel for _ in range(30)}
-        assert channels == {"sensor", "control"}
-
-    def test_deterministic_under_seed(self):
-        model = ILCNN(TINY)
-        a = FaultLocalizer(7).pick_weights(model, 5)
-        b = FaultLocalizer(7).pick_weights(model, 5)
-        assert a == b
-
-    def test_accepts_generator(self):
-        loc = FaultLocalizer(np.random.default_rng(8))
-        assert loc.pick_bit().bit >= 0
-
-    def test_pick_weights_validation(self):
-        model = ILCNN(TINY)
-        with pytest.raises(ValueError):
-            FaultLocalizer(0).pick_weights(model, 0)

@@ -495,6 +495,33 @@ class TestStudyFromSpecExecution:
         assert (queue_dir / "spec.json").exists()
         assert (queue_dir / "results.jsonl").exists()
 
+    def test_study_run_honours_slot_and_parquet(
+        self, builder, tmp_path, monkeypatch
+    ):
+        """execution.episodes_per_slot and execution.parquet reach the
+        study's runner exactly as they reach Campaign.from_spec's."""
+        spec = CampaignSpec(
+            scenarios=ScenarioSuiteSpec(
+                n=1, seed=9, town=TOWN, min_distance=60.0, max_distance=160.0
+            ),
+            agent=AgentSpec("autopilot"),
+            injectors={"none": []},
+            builder=builder,
+            execution=ExecutionSpec(
+                backend="multiplexed",
+                episodes_per_slot=2,
+                parquet=str(tmp_path / "x.parquet"),
+            ),
+        )
+        runners = []
+        monkeypatch.setattr(ParallelCampaignRunner, "run", lambda self: runners.append(self))
+        Study.from_spec(spec).run()
+        campaign_runner = Campaign.from_spec(spec).runner()
+        for runner in (runners[0], campaign_runner):
+            assert runner.context().episodes_per_slot == 2
+            assert runner.executor.episodes_per_slot == 2
+            assert runner.parquet_path == tmp_path / "x.parquet"
+
 
 class TestSpecExecutionEquivalence:
     """A spec-driven campaign is byte-identical to the programmatic one,
