@@ -9,7 +9,7 @@ the single-episode serial path (``read_frame``, itself a batch of one),
 in one process on one core, and fails if the batched path delivers less
 than :data:`MUX_SENSING_GATE` times the serial per-core throughput.
 
-End-to-end campaign throughput (serial vs ``backend="multiplexed"``) is
+End-to-end campaign throughput (serial vs ``executor="multiplexed"``) is
 measured and recorded alongside for context but *not* gated: sensing is
 34.0 % of a traced episode frame on the multiplexed dense workload
 (``dense-mux``, ``perfbench/NOTES.md``), so Amdahl bounds the
@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from repro.agent import autopilot_agent_factory
-from repro.core import ParallelCampaignRunner, standard_scenarios
+from repro.core import Campaign, standard_scenarios
 from repro.sim.actors import Pedestrian, Vehicle
 from repro.sim.builders import SimulationBuilder
 from repro.sim.geometry import Transform, Vec2
@@ -152,7 +152,7 @@ def _measure_pipeline() -> dict:
     builder.renderer_for(BENCH_TOWN)  # warm the shared scene cache
 
     def run(executor: str, slot: int):
-        runner = ParallelCampaignRunner(
+        campaign = Campaign(
             scenarios,
             autopilot_agent_factory(),
             {"none": []},
@@ -161,7 +161,7 @@ def _measure_pipeline() -> dict:
             episodes_per_slot=slot,
         )
         start = time.perf_counter()
-        result = runner.run()
+        result = campaign.run()
         return time.perf_counter() - start, result.records
 
     mux_s, mux_records = run("multiplexed", len(scenarios))

@@ -20,7 +20,7 @@ import pytest
 
 from repro.agent.ilcnn import ILCNN, ILCNNConfig
 from repro.core import (
-    ParallelCampaignRunner,
+    Campaign,
     available_cpus,
     run_episode,
     standard_scenarios,
@@ -177,7 +177,7 @@ def test_parallel_campaign_throughput(capsys):
     injectors = {"none": [], "delay": [OutputDelay(10)]}
 
     def run(workers: int, executor: str) -> tuple[float, list]:
-        runner = ParallelCampaignRunner(
+        campaign = Campaign(
             scenarios,
             autopilot_agent_factory(),
             injectors,
@@ -186,7 +186,7 @@ def test_parallel_campaign_throughput(capsys):
             executor=executor,
         )
         start = time.perf_counter()
-        result = runner.run()
+        result = campaign.run()
         return time.perf_counter() - start, result.records
 
     serial_s, serial_records = run(1, "serial")

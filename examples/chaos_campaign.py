@@ -35,8 +35,8 @@ from pathlib import Path
 
 from repro.agent import autopilot_agent_factory
 from repro.core import (
+    Campaign,
     FaultTolerancePolicy,
-    ParallelCampaignRunner,
     QueueExecutor,
     quarantine_table,
     standard_scenarios,
@@ -82,7 +82,7 @@ def main() -> None:
     )
 
     start = time.perf_counter()
-    reference = ParallelCampaignRunner(
+    reference = Campaign(
         scenarios, autopilot_agent_factory(), SURVIVORS, builder=SimulationBuilder()
     ).run()
     print(f"fault-free serial reference: {time.perf_counter() - start:6.1f} s")
@@ -105,9 +105,9 @@ def main() -> None:
             ),
         )
         start = time.perf_counter()
-        result = ParallelCampaignRunner(
+        result = Campaign(
             scenarios, autopilot_agent_factory(), poison_grid,
-            builder=SimulationBuilder(), executor=executor, policy=policy,
+            builder=SimulationBuilder(), executor=executor, fault_tolerance=policy,
         ).run()
         print(f"chaos queue campaign       : {time.perf_counter() - start:6.1f} s")
 

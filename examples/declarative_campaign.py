@@ -28,10 +28,8 @@ from repro.core import (
     CampaignSpec,
     ExecutionSpec,
     ScenarioSuiteSpec,
-    Study,
     format_table,
     load_spec,
-    metrics_by_injector,
     save_spec,
     standard_scenarios,
 )
@@ -101,24 +99,21 @@ def main() -> None:
         print(f"spec == programmatic: {len(from_spec.records)} identical records")
 
         # 3. Same spec + same checkpoint: nothing re-runs.
-        study = Study.from_spec(spec, checkpoint_path=checkpoint)
-        if study.pending():
-            sys.exit(f"FAIL: resume should be complete, {len(study.pending())} pending")
+        resumed = Campaign.from_spec(spec, checkpoint_path=checkpoint)
+        if resumed.pending():
+            sys.exit(f"FAIL: resume should be complete, {len(resumed.pending())} pending")
         print("resume with unchanged spec: 0 episodes pending")
 
         # 4. Change the agent: every episode must re-run (the agent is
         # part of the checkpoint fingerprint now).
         retuned = load_spec(spec_path)
         retuned.agent = AgentSpec("autopilot", {"cruise_speed": 5.0})
-        study = Study.from_spec(retuned, checkpoint_path=checkpoint)
-        if len(study.pending()) != len(from_spec.records):
+        resumed = Campaign.from_spec(retuned, checkpoint_path=checkpoint)
+        if len(resumed.pending()) != len(from_spec.records):
             sys.exit("FAIL: retuned agent must invalidate the whole checkpoint")
         print("resume with retuned agent: full grid pending (as it must)")
 
-        rows = [
-            [n, m.n_runs, m.msr, m.vpk]
-            for n, m in metrics_by_injector(from_spec.records).items()
-        ]
+        rows = [[n, m.n_runs, m.msr, m.vpk] for n, m in from_spec.metrics().items()]
         print()
         print(format_table(["injector", "runs", "MSR_%", "VPK"], rows))
     print("OK")

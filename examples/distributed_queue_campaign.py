@@ -29,11 +29,10 @@ from pathlib import Path
 import repro
 from repro.agent import autopilot_agent_factory
 from repro.core import (
+    Campaign,
     FilesystemBroker,
-    ParallelCampaignRunner,
     QueueExecutor,
     format_table,
-    metrics_by_injector,
     standard_scenarios,
 )
 from repro.core.faults import GaussianNoise, OutputDelay
@@ -79,8 +78,8 @@ def main() -> None:
         "delay-10": [OutputDelay(10)],
     }
 
-    def build_runner(executor):
-        return ParallelCampaignRunner(
+    def build_campaign(executor):
+        return Campaign(
             scenarios, autopilot_agent_factory(), injectors,
             builder=SimulationBuilder(), executor=executor,
         )
@@ -89,7 +88,7 @@ def main() -> None:
     print(f"{n} episodes ({len(injectors)} injectors x {len(scenarios)} scenarios)")
 
     start = time.perf_counter()
-    serial = build_runner("serial").run()
+    serial = build_campaign("serial").run()
     print(f"serial      : {time.perf_counter() - start:6.1f} s")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -97,7 +96,7 @@ def main() -> None:
         executor = QueueExecutor(
             queue_dir, workers=0, lease_s=args.lease, poll_s=0.1, stall_timeout=300
         )
-        runner = build_runner(executor)
+        campaign = build_campaign(executor)
 
         # The coordinator publishes tasks and folds results; run it in a
         # thread so this script can orchestrate workers around it.
@@ -105,7 +104,7 @@ def main() -> None:
 
         def coordinate():
             try:
-                outcome["result"] = runner.run()
+                outcome["result"] = campaign.run()
             except BaseException as exc:  # noqa: BLE001
                 outcome["error"] = exc
 
@@ -158,7 +157,7 @@ def main() -> None:
 
     rows = [
         [name, m.n_runs, m.msr, round(m.vpk, 3), round(m.apk, 3)]
-        for name, m in metrics_by_injector(parallel.records).items()
+        for name, m in parallel.metrics().items()
     ]
     print()
     print(format_table(["injector", "runs", "MSR_%", "VPK", "APK"], rows))

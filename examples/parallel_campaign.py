@@ -3,7 +3,7 @@
 
 Runs a small input-fault campaign twice — once serially, once on a
 process pool — times both, and verifies the records are identical (the
-runner's core guarantee: worker count never changes results).  With a
+campaign's core guarantee: worker count never changes results).  With a
 checkpoint path the run is also resumable: interrupt it and re-run, and
 only the missing episodes execute.
 
@@ -20,12 +20,7 @@ import time
 from pathlib import Path
 
 from repro.agent import autopilot_agent_factory, get_or_train_default_model, nn_agent_factory
-from repro.core import (
-    ParallelCampaignRunner,
-    format_table,
-    metrics_by_injector,
-    standard_scenarios,
-)
+from repro.core import Campaign, format_table, standard_scenarios
 from repro.core.faults import GaussianNoise, OutputDelay, SolidOcclusion
 from repro.sim.builders import SimulationBuilder
 
@@ -54,8 +49,8 @@ def main() -> None:
         "delay-10": [OutputDelay(10)],
     }
 
-    def build_runner(workers, executor, checkpoint=None):
-        return ParallelCampaignRunner(
+    def build_campaign(workers, executor, checkpoint=None):
+        return Campaign(
             scenarios,
             agent_factory,
             injectors,
@@ -75,12 +70,12 @@ def main() -> None:
     serial = None
     if not resuming:
         start = time.perf_counter()
-        serial = build_runner(1, "serial").run()
+        serial = build_campaign(1, "serial").run()
         serial_s = time.perf_counter() - start
         print(f"serial      : {serial_s:6.1f} s  ({n / serial_s:.2f} episodes/s)")
 
     start = time.perf_counter()
-    parallel = build_runner(args.workers, "process", args.checkpoint).run()
+    parallel = build_campaign(args.workers, "process", args.checkpoint).run()
     parallel_s = time.perf_counter() - start
     print(
         f"{args.workers:2d} workers  : {parallel_s:6.1f} s  "
@@ -100,7 +95,7 @@ def main() -> None:
 
     rows = [
         [name, m.n_runs, m.msr, round(m.vpk, 3), round(m.apk, 3)]
-        for name, m in metrics_by_injector(parallel.records).items()
+        for name, m in parallel.metrics().items()
     ]
     print()
     print(format_table(["injector", "runs", "MSR_%", "VPK", "APK"], rows))

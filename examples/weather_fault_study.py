@@ -3,8 +3,8 @@
 
 The paper motivates data faults with "changes in the external environment
 (such as fog or rain)".  This example crosses CARLA-style weather presets
-with a camera occlusion fault using :class:`repro.core.Study`: the study
-checkpoints every episode to disk, so interrupting it (Ctrl-C) and
+with a camera occlusion fault using :class:`repro.core.Campaign`: each
+weather's campaign checkpoints every episode to disk, so interrupting it (Ctrl-C) and
 re-running resumes where it stopped — the workflow for overnight
 fault-injection campaigns.
 
@@ -18,7 +18,7 @@ import argparse
 import json
 
 from repro.agent import autopilot_agent_factory, get_or_train_default_model, nn_agent_factory
-from repro.core import Study, format_table, standard_scenarios, summary_frame
+from repro.core import Campaign, format_table, standard_scenarios, summary_frame
 from repro.core.faults import SolidOcclusion
 from repro.sim.builders import SimulationBuilder
 
@@ -43,7 +43,7 @@ def main() -> None:
         scenarios = standard_scenarios(
             args.runs, seed=777, weather=weather, n_npc_vehicles=2, n_pedestrians=2
         )
-        study = Study(
+        campaign = Campaign(
             scenarios,
             agent_factory,
             injectors={"none": [], "solid-occ": [SolidOcclusion(size_frac=0.4)]},
@@ -51,10 +51,10 @@ def main() -> None:
             builder=builder,
             verbose=True,
         )
-        pending = len(study.pending())
-        done = len(study.records)
+        pending = len(campaign.pending())
+        done = len(campaign.grid_records())
         print(f"[{weather}] {done} episodes checkpointed, {pending} to run")
-        records = study.run()
+        records = campaign.run().records
         for row in summary_frame(records):
             row["weather"] = weather
             all_rows.append(row)

@@ -87,14 +87,14 @@ echo "== smoke: multiplexed-vs-serial byte-identity =="
 # each drain a slot of 2.
 python - <<'PY'
 from repro.agent import autopilot_agent_factory
-from repro.core import ParallelCampaignRunner, standard_scenarios
+from repro.core import Campaign, standard_scenarios
 from repro.core.faults import GaussianNoise, OutputDelay
 
 scenarios = standard_scenarios(4, seed=23, n_npc_vehicles=2, n_pedestrians=1)
 injectors = {"none": [], "compound": [GaussianNoise(0.1), OutputDelay(3)]}
 
 def run(executor, slot, workers=None):
-    return [r.to_dict() for r in ParallelCampaignRunner(
+    return [r.to_dict() for r in Campaign(
         scenarios, autopilot_agent_factory(), injectors,
         executor=executor, episodes_per_slot=slot, workers=workers,
     ).run().records]

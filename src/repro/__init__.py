@@ -8,12 +8,13 @@ The package mirrors the paper's architecture (fig. 1):
   route planner, expert autopilot and the conditional imitation-learning
   CNN of Codevilla et al.;
 * :mod:`repro.core` — AVFI itself: fault models (data / hardware / timing /
-  ML), fault localisation, the injection harness, campaign runner and the
-  resilience metrics MSR, VPK, APK and TTV.
+  ML), the injection harness, the :class:`~repro.core.Campaign` (one
+  object that plans, runs, checkpoints and resumes a fault-injection
+  sweep on any backend) and the resilience metrics MSR, VPK, APK and TTV.
 
 Quickstart::
 
-    from repro.core import Campaign, standard_scenarios, metrics_by_injector
+    from repro.core import Campaign, standard_scenarios
     from repro.core.faults import GaussianNoise
     from repro.agent import get_or_train_default_model, nn_agent_factory
 
@@ -24,7 +25,7 @@ Quickstart::
         nn_agent_factory(model),
         injectors={"none": [], "gaussian": [GaussianNoise(sigma=0.1)]},
     )
-    for name, m in metrics_by_injector(campaign.run().records).items():
+    for name, m in campaign.run().metrics().items():
         print(name, m.summary_row())
 """
 

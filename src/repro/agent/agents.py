@@ -10,7 +10,7 @@ Two agents ship with the library:
   Useful as an upper-bound baseline and for infrastructure tests that
   should not depend on learned behaviour.
 
-Factories at the bottom adapt both to the campaign runner's
+Factories at the bottom adapt both to the campaign's
 ``factory(handles, mission) -> Agent`` protocol.  Both factories are
 also *registered* by name in :data:`AGENT_REGISTRY`
 (:func:`register_agent` / :func:`make_agent_factory`), which is what

@@ -211,25 +211,37 @@ def _run_spec(spec, save: str | None = None, **overrides) -> None:
     ``avfi sweep-delay`` — the hard-coded commands run exactly what
     their emitted specs describe.
     """
-    from .core import Campaign, format_table, metrics_by_injector
+    from .core import Campaign, format_table, quarantine_table
 
     campaign = Campaign.from_spec(spec, verbose=True, **overrides)
-    if campaign.queue_dir and campaign.workers == 0:
+    executor = campaign.executor
+    if getattr(executor, "workers", None) == 0:  # only a queue can coordinate
         print(
             f"coordinating only: attach workers with\n"
-            f"  python -m repro worker --queue-dir {campaign.queue_dir}"
+            f"  python -m repro worker --queue-dir {executor.queue_dir}"
         )
     result = campaign.run()
     if save:
         result.save(save)
         print(f"records -> {save}")
-    metrics = metrics_by_injector(result.records)
     rows = [
-        [n, m.n_runs, m.msr, m.vpk, m.apk, m.ttv_median_s if m.ttv_s else None]
-        for n, m in metrics.items()
+        [
+            n,
+            m.n_runs,
+            m.n_failures or None,
+            m.msr,
+            m.vpk,
+            m.apk,
+            m.ttv_median_s if m.ttv_s else None,
+        ]
+        for n, m in result.metrics().items()
     ]
     print()
-    print(format_table(["injector", "runs", "MSR_%", "VPK", "APK", "TTV_s"], rows))
+    headers = ["injector", "runs", "lost", "MSR_%", "VPK", "APK", "TTV_s"]
+    print(format_table(headers, rows))
+    if result.failures:
+        print()
+        print(quarantine_table(result.failures))
 
 
 def _require_queue_for_coordinate_only(parser_error, workers, queue_dir) -> None:

@@ -1,11 +1,13 @@
-"""Fault-injection campaigns: running (scenario × injector) sweeps.
+"""Fault-injection episodes and their records.
 
-A *campaign* evaluates one agent across a suite of missions under a set of
-named fault injectors (always including a fault-free baseline, as the
-paper's "NoInject" bars do).  Each episode is an independent, seeded,
-replayable run through the full server/client stack; results are collected
-as :class:`RunRecord` rows that the metrics module aggregates into the
-paper's resilience metrics.
+An *episode* drives one agent through one mission under one fault set,
+through the full server/client stack (:class:`EpisodeDriver`,
+:func:`run_episode`), and yields a :class:`RunRecord` the metrics module
+aggregates into the paper's resilience metrics.  A *campaign* — the
+paired (scenario × injector) sweep of such episodes, always including a
+fault-free baseline as the paper's "NoInject" bars do — is
+:class:`~repro.core.runner.Campaign`; its results come back as a
+:class:`CampaignResult`.
 
 Experiment design note: every injector configuration sees the *same*
 scenario suite (paired design), so differences in MSR/VPK are attributable
@@ -37,7 +39,6 @@ from .injector import InjectionHarness
 __all__ = [
     "RunRecord",
     "CampaignResult",
-    "Campaign",
     "EpisodeDriver",
     "component_signature",
     "episode_fingerprint",
@@ -88,11 +89,11 @@ def episode_fingerprint(
     re-runs episodes instead of silently returning stale records.
 
     ``agent_factory`` and ``builder`` fold :func:`component_signature`
-    into the hash — the campaign runner always passes them, so resuming
+    into the hash — the campaign always passes them, so resuming
     a checkpoint after switching the agent (autopilot → IL-CNN, retuned
     expert, retrained weights) or the builder (camera, sensors) re-runs
     episodes instead of silently matching.  ``component_key`` lets the
-    runner pass the two signatures precomputed once per grid instead of
+    campaign pass the two signatures precomputed once per grid instead of
     re-deriving them per task (the NN signature hashes model weights).
 
     Each fault is described through a *reset clone*, so per-episode state
@@ -494,6 +495,15 @@ class CampaignResult:
         """Records of one injector."""
         return [r for r in self.records if r.injector == injector]
 
+    def metrics(self) -> dict:
+        """Per-injector :class:`~repro.core.metrics.ResilienceMetrics`;
+        quarantined episodes surface as each injector's
+        ``failure_counts``, never as runs — so an injector whose every
+        episode was quarantined still gets a row."""
+        from .metrics import metrics_by_injector  # deferred: metrics imports us
+
+        return metrics_by_injector(self.records + self.failures)
+
     def quarantined(self) -> list[tuple[str, str, int]]:
         """The quarantine list as ``(injector, scenario, seed)`` triples."""
         return [(f.injector, f.scenario, f.seed) for f in self.failures]
@@ -520,198 +530,6 @@ class CampaignResult:
             else:
                 records.append(RunRecord(**row))
         return cls(records, failures=failures)
-
-
-class Campaign:
-    """A full (injector × scenario) fault-injection sweep.
-
-    ``workers`` selects parallel execution: the default (``None``/``1``)
-    runs episodes serially in-process, anything larger fans episodes out
-    to a process pool via
-    :class:`~repro.core.runner.ParallelCampaignRunner`.  All paths share
-    the per-episode seed formula and return identical results.
-
-    ``backend="queue"`` (with a shared ``queue_dir``) shards the grid
-    across machines instead: this process coordinates through a
-    :class:`~repro.core.queue.QueueExecutor` (spawning ``workers`` local
-    drain processes), any machine can attach more workers with
-    ``avfi worker --queue-dir``, and the broker's ``results.jsonl``
-    checkpoint makes the campaign resumable — re-running the same
-    campaign against the same ``queue_dir`` executes only what's missing.
-
-    ``backend`` (a name: ``"serial"``/``"process"``/``"queue"``) and
-    ``executor`` (a ready-made executor instance) are distinct: a
-    backend is resolved into an executor at :meth:`run` time, an
-    instance is used as-is and its own configuration wins.  Passing both
-    is a contradiction and raises.
-
-    A ``checkpoint_path`` makes the campaign resumable exactly like a
-    :class:`~repro.core.experiment.Study`: completed episodes append to
-    the JSONL file as they finish, and a re-run executes only what's
-    missing.
-    """
-
-    def __init__(
-        self,
-        scenarios: Sequence[Scenario],
-        agent_factory: Callable,
-        injectors: dict[str, Sequence[FaultModel]],
-        builder: SimulationBuilder | None = None,
-        base_seed: int = 0,
-        verbose: bool = False,
-        workers: int | None = None,
-        executor=None,
-        backend: str | None = None,
-        queue_dir: str | Path | None = None,
-        lease_s: float | None = None,
-        checkpoint_path: str | Path | None = None,
-        parquet_path: str | Path | None = None,
-        fault_tolerance=None,
-        episodes_per_slot: int | None = None,
-    ):
-        if not scenarios:
-            raise ValueError("campaign needs at least one scenario")
-        if not injectors:
-            raise ValueError("campaign needs at least one injector (use {'none': []})")
-        if backend is not None and executor is not None:
-            raise ValueError("pass either backend= or executor=, not both")
-        if backend is not None and not isinstance(backend, str):
-            raise TypeError(
-                f"backend must be an executor name string, got "
-                f"{type(backend).__name__} (pass instances via executor=)"
-            )
-        self.scenarios = list(scenarios)
-        self.agent_factory = agent_factory
-        self.injectors = dict(injectors)
-        self.builder = builder or SimulationBuilder()
-        self.base_seed = base_seed
-        self.verbose = verbose
-        self.workers = workers
-        #: Executor *instance* (authoritative when set) — kept separate
-        #: from the ``backend`` *name* so spec-driven construction can
-        #: plumb either unambiguously.
-        self.executor = executor
-        self.backend = backend
-        self.queue_dir = queue_dir
-        self.lease_s = lease_s
-        self.checkpoint_path = checkpoint_path
-        #: Optional parquet analytics sink written beside the JSONL
-        #: checkpoint (see :class:`~repro.core.sink.ParquetSink`);
-        #: degrades to JSONL-only when pyarrow is absent.
-        self.parquet_path = parquet_path
-        #: :class:`~repro.core.outcomes.FaultTolerancePolicy` every
-        #: executor honours (``None`` = defaults: one attempt, no
-        #: timeout, abort on the first failure — historical behaviour).
-        self.fault_tolerance = fault_tolerance
-        if episodes_per_slot is not None and episodes_per_slot < 1:
-            raise ValueError(
-                f"episodes_per_slot must be >= 1 (got {episodes_per_slot})"
-            )
-        #: Live episodes per multiplexed slot: with
-        #: ``backend="multiplexed"`` this is the slot size of the single
-        #: in-process multiplexer; with process/queue backends each
-        #: worker drains slots of this size.  ``None``/1 = one episode
-        #: at a time (serial semantics).  Output is byte-identical
-        #: either way.
-        self.episodes_per_slot = episodes_per_slot
-        #: The :class:`~repro.core.spec.CampaignSpec` this campaign was
-        #: built from (set by :meth:`from_spec`); published alongside the
-        #: queue broker's context so workers can see the full campaign
-        #: definition as a portable artifact.
-        self.spec = None
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec,
-        *,
-        workers: int | None = None,
-        queue_dir: str | Path | None = None,
-        lease_s: float | None = None,
-        checkpoint_path: str | Path | None = None,
-        parquet_path: str | Path | None = None,
-        fault_tolerance=None,
-        episodes_per_slot: int | None = None,
-        verbose: bool = False,
-    ) -> "Campaign":
-        """Build a campaign from a :class:`~repro.core.spec.CampaignSpec`.
-
-        The keyword arguments override the spec's execution options (the
-        ``avfi run`` CLI flags, resolved by
-        :meth:`~repro.core.spec.ExecutionSpec.resolve`); everything else —
-        scenario suite, agent, injectors, builder, base seed — comes from
-        the spec.  The
-        injector table goes through
-        :meth:`~repro.core.spec.CampaignSpec.expanded_injectors`, so
-        compound entries arrive as their concrete expanded grid (the
-        expansion already deep-copies); literal entries are deep-copied
-        here so building two campaigns from one spec never shares
-        mutable fault state.
-        """
-        execution = spec.execution.resolve(
-            workers=workers,
-            queue_dir=queue_dir,
-            lease_s=lease_s,
-            checkpoint_path=checkpoint_path,
-            parquet_path=parquet_path,
-            fault_tolerance=fault_tolerance,
-            episodes_per_slot=episodes_per_slot,
-        )
-        campaign = cls(
-            spec.scenarios.build(),
-            spec.agent.build(),
-            {
-                name: [copy.deepcopy(fault) for fault in faults]
-                for name, faults in spec.expanded_injectors().items()
-            },
-            builder=spec.build_builder(),
-            base_seed=spec.execution.base_seed,
-            verbose=verbose,
-            **execution,
-        )
-        campaign.spec = spec
-        return campaign
-
-    def total_runs(self) -> int:
-        """Number of episodes the campaign will execute."""
-        return len(self.scenarios) * len(self.injectors)
-
-    def runner(self, workers: int | None = None):
-        """Build the :class:`~repro.core.runner.ParallelCampaignRunner`
-        this campaign would execute, without running it.
-
-        :meth:`run` is ``runner().run()``; the campaign service
-        (:mod:`repro.core.service`) holds the runner directly so it can
-        publish the grid, watch per-episode progress, and drive the run
-        from its own thread.
-        """
-        from .runner import ParallelCampaignRunner  # deferred: runner imports us
-
-        return ParallelCampaignRunner(
-            self.scenarios,
-            self.agent_factory,
-            self.injectors,
-            builder=self.builder,
-            base_seed=self.base_seed,
-            workers=workers if workers is not None else self.workers,
-            executor=self.executor if self.executor is not None else self.backend,
-            queue_dir=self.queue_dir,
-            lease_s=self.lease_s,
-            checkpoint_path=self.checkpoint_path,
-            parquet_path=self.parquet_path,
-            policy=self.fault_tolerance,
-            episodes_per_slot=self.episodes_per_slot,
-            spec=self.spec.to_dict() if self.spec is not None else None,
-            verbose=self.verbose,
-            label="campaign",
-        )
-
-    def run(self, workers: int | None = None) -> CampaignResult:
-        """Execute every (injector, scenario) episode.
-
-        ``workers`` overrides the constructor setting for this run.
-        """
-        return self.runner(workers).run()
 
 
 def standard_scenarios(

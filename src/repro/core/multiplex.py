@@ -37,7 +37,7 @@ running one slot (of 1 and of :data:`DEFAULT_EPISODES_PER_SLOT` by
 default), process-pool workers drain each chunk as a slot, and queue
 workers drain each batch of claims as a slot.  It only yields outcomes;
 the failure budget lives in
-:meth:`~repro.core.runner.ParallelCampaignRunner.run`.
+:meth:`~repro.core.runner.Campaign.run`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,13 @@ from ..sim.sensors import read_frames_batch
 from .campaign import EpisodeDriver, RunRecord
 from .faults.base import ModelFault
 from .outcomes import EpisodeFailure, FaultTolerancePolicy
-from .runner import CampaignContext, EpisodeTask, attempt_task, context_policy
+from .runner import (
+    CampaignContext,
+    EpisodeTask,
+    _checked_slot,
+    attempt_task,
+    context_policy,
+)
 
 __all__ = [
     "DEFAULT_EPISODES_PER_SLOT",
@@ -75,7 +81,7 @@ class EpisodeMultiplexer:
     """Round-robins up to E live episode drivers at tick granularity.
 
     ``run`` yields ``(task, RunRecord | EpisodeFailure)`` pairs as
-    episodes finish (completion order; the campaign runner re-orders).
+    episodes finish (completion order; the campaign re-orders).
     Construction is cheap — all state lives per :meth:`run` call.
     """
 
@@ -87,14 +93,10 @@ class EpisodeMultiplexer:
     ):
         self.context = context
         self.episodes_per_slot = (
-            episodes_per_slot
+            _checked_slot(episodes_per_slot)
             if episodes_per_slot is not None
             else multiplex_slot_size(context)
         )
-        if self.episodes_per_slot < 1:
-            raise ValueError(
-                f"episodes_per_slot must be >= 1 (got {self.episodes_per_slot})"
-            )
         self.policy = policy if policy is not None else context_policy(context)
 
     # -- task routing ---------------------------------------------------

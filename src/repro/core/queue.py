@@ -6,11 +6,11 @@ executor protocol is pluggable, and the JSONL checkpoint is already the
 source of truth for completed work.  This module adds the missing piece —
 a *broker* that hands tasks to whichever workers are attached:
 
-* a **coordinator** (the machine running
-  :class:`~repro.core.runner.ParallelCampaignRunner` with a
-  :class:`QueueExecutor`) publishes the campaign context and every
-  pending task into a broker, then folds finished records back into
-  canonical grid order exactly as the in-process executors do;
+* a **coordinator** (the machine running a
+  :class:`~repro.core.runner.Campaign` with a :class:`QueueExecutor`)
+  publishes the campaign context and every pending task into a broker,
+  then folds finished records back into canonical grid order exactly
+  as the in-process executors do;
 * any number of **workers** (``avfi worker --queue-dir …`` /
   :func:`run_worker`, one per machine or several per machine) attach to
   the broker, claim tasks under per-task *leases*, heartbeat while an
@@ -46,7 +46,7 @@ Exactly-once is enforced at the *results* layer, not the queue layer: a
 lease can expire after its worker actually finished (slow NFS, paused
 VM), in which case two workers run the same episode and append two
 records with the same identity.  Episodes are deterministic, so the
-duplicates are byte-identical, and the runner's grid fold keeps the
+duplicates are byte-identical, and the campaign's grid fold keeps the
 first — the queue only has to guarantee at-least-once delivery.
 
 Clock caveat: lease expiry compares worker heartbeat timestamps against
@@ -1060,19 +1060,19 @@ def _drain(
 
 
 class QueueExecutor:
-    """Queue-backed executor satisfying the runner's executor protocol.
+    """Queue-backed executor satisfying the campaign's executor protocol.
 
     :meth:`run` publishes the pending grid into the broker, optionally
-    spawns ``workers`` local drain processes (so ``backend="queue"``
+    spawns ``workers`` local drain processes (so ``executor="queue"``
     works standalone on one machine), then polls the shared results
     checkpoint and yields ``(task, record)`` pairs as remote workers land
-    them — the runner folds these back into grid order exactly as with
+    them — the campaign folds these back into grid order exactly as with
     the in-process executors.  Expired leases are requeued from the
     coordinator as well, so a campaign survives worker deaths even when
     every other worker is busy.
 
     The broker's ``results.jsonl`` *is* the campaign checkpoint: the
-    runner adopts it (``checkpoint_path``) and skips its own appends,
+    campaign adopts it (``checkpoint_path``) and skips its own appends,
     since workers already wrote each record durably.
     """
 
@@ -1120,12 +1120,12 @@ class QueueExecutor:
         """The shared JSONL checkpoint workers append to — ``None`` when
         the broker is remote (TCP): the checkpoint then lives on the
         server, reachable through :meth:`resume_rows` instead of as a
-        local file the runner could adopt."""
+        local file the campaign could adopt."""
         return getattr(self.broker, "results_path", None)
 
     def resume_rows(self):
         """``(records, failures)`` already in the broker's checkpoint —
-        what the runner folds as completed work when it has no local
+        what the campaign folds as completed work when it has no local
         checkpoint file to read (the remote-broker case)."""
         return self.broker.checkpoint_rows()
 
@@ -1171,10 +1171,10 @@ class QueueExecutor:
 
         Workers park terminal episode failures in ``failed/`` with their
         structured :class:`~repro.core.outcomes.EpisodeFailure`; this
-        loop yields each one to the runner, which decides its fate.  If
-        ``stop`` is still clear when iteration resumes, the runner
+        loop yields each one to the campaign, which decides its fate.  If
+        ``stop`` is still clear when iteration resumes, the campaign
         admitted it: the quarantine row goes to the shared checkpoint
-        and the task retires to ``quarantined/``.  If the runner set
+        and the task retires to ``quarantined/``.  If the campaign set
         ``stop`` instead, the task stays parked in ``failed/`` (so a
         re-publish retries it) and the loop ends; records the workers
         already appended are in the checkpoint either way.  An

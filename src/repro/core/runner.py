@@ -1,8 +1,9 @@
-"""Parallel campaign execution: scheduling episodes across worker processes.
+"""Campaign execution: the :class:`Campaign` and the transports it runs on.
 
-The paper's headline experiments are (scenario × injector × seed) sweeps of
-*independent* episodes, which makes them embarrassingly parallel — as long
-as three invariants survive the distribution:
+AVFI's unit of work is a campaign: a paired (scenario × injector) sweep of
+*independent* episodes whose records fold into MSR/VPK/APK/TTV.
+:class:`Campaign` is the one object that plans, executes, checkpoints and
+resumes it, and three invariants survive every way of distributing it:
 
 * **determinism** — every episode's outcome is a pure function of
   ``(scenario, injector faults, harness seed)``; the paired-design seed
@@ -12,16 +13,15 @@ as three invariants survive the distribution:
   (injector-major, scenario-minor), so aggregate metrics and summary rows
   are byte-identical to a serial run;
 * **resumability** — each finished episode is appended to a JSONL
-  checkpoint (the same format :class:`~repro.core.experiment.Study` uses),
-  so an interrupted overnight sweep restarts where it stopped and never
-  executes an episode twice.
+  checkpoint, so an interrupted overnight sweep restarts where it
+  stopped and never executes an episode twice.
 
-Beside the JSONL checkpoint the runner can stream a **parquet sink**
+Beside the JSONL checkpoint a campaign can stream a **parquet sink**
 (``parquet_path=``, :class:`~repro.core.sink.ParquetSink`): the JSONL
 file stays the durability layer (atomic appends, resume identity), the
 parquet copy is the analytics artifact for million-episode aggregation.
-When pyarrow is missing the runner degrades to JSONL-only with a
-warning rather than failing the campaign.
+When pyarrow is missing the campaign degrades to JSONL-only with a
+warning rather than failing.
 
 Executors are plain *transports*: :class:`SerialExecutor` runs tasks
 in-process through one :class:`~repro.core.multiplex.EpisodeMultiplexer`
@@ -31,19 +31,19 @@ size, 1 vs 4), :class:`ProcessExecutor` fans chunks of tasks out to a
 :class:`~repro.core.queue.QueueExecutor` shards the grid across
 *machines* through a shared broker (``executor="queue"`` /
 ``queue_dir=``).  Each yields ``(task, RunRecord | EpisodeFailure)`` and
-never decides an episode failure's fate: :meth:`ParallelCampaignRunner.run`
-holds the campaign's one failure budget, marks admitted failures
-quarantined, and on the first failure over budget sets the ``stop``
-event it passed to the transport, keeps checkpointing what the
-transport still yields, and re-raises the original error once it is
-exhausted (abort-then-drain).  All feed the same top-level, picklable
-:func:`execute_task` → :func:`~repro.core.campaign.run_episode` path, so
-the serial run is the ground truth every distributed run must reproduce
-exactly.
+never decides an episode failure's fate: :meth:`Campaign.run` holds the
+campaign's one failure budget, marks admitted failures quarantined, and
+on the first failure over budget sets the ``stop`` event it passed to
+the transport, keeps checkpointing what the transport still yields, and
+re-raises the original error once it is exhausted (abort-then-drain).
+All feed the same top-level, picklable :func:`execute_task` →
+:func:`~repro.core.campaign.run_episode` path, so the serial run is the
+ground truth every distributed run must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import multiprocessing
 import os
@@ -89,7 +89,7 @@ __all__ = [
     "record_identity",
     "load_checkpoint_records",
     "load_checkpoint_rows",
-    "ParallelCampaignRunner",
+    "Campaign",
 ]
 
 
@@ -164,7 +164,7 @@ def append_jsonl_line(path: str | Path, obj: dict) -> None:
     record in half and a concurrent appender can land between the halves,
     turning a resumable checkpoint into a permanently corrupt one.
 
-    ``fsync`` before close makes the record durable: once the runner has
+    ``fsync`` before close makes the record durable: once the campaign has
     reported an episode complete, a power cut must not un-complete it.
     """
     path = Path(path)
@@ -277,9 +277,8 @@ def available_cpus() -> int:
 def episode_seed(base_seed: int, injector_index: int, scenario_index: int) -> int:
     """The paired-design seed for one (injector, scenario) cell.
 
-    Shared by the serial :class:`~repro.core.campaign.Campaign`, the
-    resumable :class:`~repro.core.experiment.Study` and the parallel
-    runner, so all three execute the *same* episode set for the same
+    Every executor runs the tasks :meth:`Campaign.tasks` seeds with it,
+    so all of them execute the *same* episode set for the same
     configuration.
     """
     return base_seed * 1_000_003 + injector_index * 10_007 + scenario_index
@@ -346,6 +345,13 @@ class CampaignContext:
     #: in the context so process-pool and queue workers drain whole
     #: multiplexed slots without extra plumbing.
     episodes_per_slot: int = 1
+
+
+def _checked_slot(episodes_per_slot: int | None) -> int | None:
+    """``episodes_per_slot`` itself, once it is known to be ``None`` or >= 1."""
+    if episodes_per_slot is not None and episodes_per_slot < 1:
+        raise ValueError(f"episodes_per_slot must be >= 1 (got {episodes_per_slot})")
+    return episodes_per_slot
 
 
 def context_policy(context: CampaignContext) -> FaultTolerancePolicy:
@@ -527,7 +533,7 @@ def _run_chunk(
     """Worker-side entry point: drain a chunk as one slot of the context's
     size (a slot of one is the plain :func:`attempt_task` loop).
 
-    Failures come back as values, not raises — the coordinator's runner
+    Failures come back as values, not raises — the coordinator's campaign
     applies the campaign-level budget (workers cannot see each other's
     failures).  The carried exception object is pickle-tested here
     because the whole chunk result must cross the pool's result pipe.
@@ -559,11 +565,7 @@ class SerialExecutor:
     name = "serial"
 
     def __init__(self, episodes_per_slot: int | None = None):
-        if episodes_per_slot is not None and episodes_per_slot < 1:
-            raise ValueError(
-                f"episodes_per_slot must be >= 1 (got {episodes_per_slot})"
-            )
-        self.episodes_per_slot = episodes_per_slot
+        self.episodes_per_slot = _checked_slot(episodes_per_slot)
 
     def run(
         self,
@@ -598,7 +600,7 @@ class ProcessExecutor:
     episode multiplexing makes each worker drain its chunk as one slot;
     the chunk then defaults to the slot size so slots actually fill.
 
-    Results stream back in completion order; the runner re-orders them.
+    Results stream back in completion order; the campaign re-orders them.
     """
 
     name = "process"
@@ -625,7 +627,7 @@ class ProcessExecutor:
         and return terminal failures as values.  When ``stop`` is set (or
         a worker chunk raises an infrastructure error) the queued chunks
         are cancelled but every running one is drained and yielded — so
-        the runner checkpoints all completed work — and a chunk error
+        the campaign checkpoints all completed work — and a chunk error
         re-raises after the drain.
         """
         from .multiplex import multiplex_slot_size  # deferred: imports us
@@ -671,11 +673,8 @@ class ProcessExecutor:
 def make_executor(
     executor: str | SerialExecutor | ProcessExecutor | None = None,
     workers: int | None = None,
-    chunksize: int | None = None,
     queue_dir: str | Path | None = None,
     lease_s: float | None = None,
-    poll_s: float | None = None,
-    stall_timeout: float | None = None,
     episodes_per_slot: int | None = None,
 ):
     """Resolve an executor spec (``"serial"``/``"process"``/``"queue"``/
@@ -686,7 +685,8 @@ def make_executor(
     ``None``/``0``/``1`` stays serial, anything larger gets a process
     pool.  Asking for serial execution *and* multiple workers is a
     contradiction and raises rather than silently dropping the workers.
-    An executor instance is authoritative (its own worker count wins).
+    An executor instance is authoritative (its own worker count and, for
+    a :class:`ProcessExecutor`, its ``chunksize`` win).
 
     ``"serial"`` and ``"multiplexed"`` are the same in-process
     transport (:class:`SerialExecutor`) running one slot of
@@ -701,11 +701,12 @@ def make_executor(
     processes to spawn alongside the coordinator — defaulting to 1 so a
     bare ``queue_dir`` makes progress on its own; an explicit ``0``
     coordinates only and blocks until workers attach from other machines
-    via ``avfi worker``.  ``lease_s``, ``poll_s`` and ``stall_timeout``
-    configure the :class:`~repro.core.queue.QueueExecutor`.
+    via ``avfi worker``.  ``lease_s`` configures the
+    :class:`~repro.core.queue.QueueExecutor`.
     """
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0 (got {workers})")
+    _checked_slot(episodes_per_slot)
     parallel_requested = workers is not None and workers > 1
     if executor is None:
         if queue_dir is not None:
@@ -735,7 +736,7 @@ def make_executor(
     if not isinstance(executor, str):
         return executor
     if executor == "process":
-        return ProcessExecutor(workers=workers, chunksize=chunksize)
+        return ProcessExecutor(workers=workers)
     if executor == "multiplexed":
         from .multiplex import DEFAULT_EPISODES_PER_SLOT  # deferred: imports us
 
@@ -753,13 +754,7 @@ def make_executor(
             raise ValueError(
                 "executor='queue' needs queue_dir (the shared broker directory)"
             )
-        options = {}
-        if lease_s is not None:
-            options["lease_s"] = lease_s
-        if poll_s is not None:
-            options["poll_s"] = poll_s
-        if stall_timeout is not None:
-            options["stall_timeout"] = stall_timeout
+        options = {} if lease_s is None else {"lease_s": lease_s}
         # workers=None must not silently mean "coordinate only and block
         # until someone attaches" — default to one local drain process;
         # coordinate-only needs an explicit workers=0.
@@ -771,18 +766,32 @@ def make_executor(
 
 
 # ----------------------------------------------------------------------
-# Runner
+# The campaign: grid, resume, and the one execution loop
 # ----------------------------------------------------------------------
 
 
-class ParallelCampaignRunner:
-    """Executes a full (injector × scenario) grid on a pluggable executor.
+class Campaign:
+    """A full (injector × scenario) fault-injection sweep — the one way to
+    run one.
 
-    Construction mirrors :class:`~repro.core.campaign.Campaign`; execution
-    adds worker parallelism, incremental JSONL checkpointing and resume.
-    The hard invariant: for the same configuration, :meth:`run` returns a
+    Every injector configuration sees the *same* scenario suite with the
+    same per-cell seeds (:func:`episode_seed`), so differences in
+    MSR/VPK are attributable to the injector.  The grid executes on a
+    pluggable transport: ``executor`` is a name (``"serial"``,
+    ``"multiplexed"``, ``"process"``, ``"queue"``) or a ready-made
+    instance whose own configuration wins; left ``None``, ``workers`` and
+    ``queue_dir`` decide (see :func:`make_executor`).  The hard
+    invariant: for the same configuration, :meth:`run` returns a
     :class:`~repro.core.campaign.CampaignResult` identical to the serial
     path's, whatever the executor or worker count.
+
+    Completed work is loaded once, at construction: from
+    ``checkpoint_path`` (JSONL, appended to as episodes finish), from a
+    queue broker's shared checkpoint, or — for a remote ``tcp://``
+    broker with no local file — from the broker server itself.  It then
+    accumulates across :meth:`run` calls, so a re-run (in this process
+    or a later one) executes only what is missing, and an interrupted
+    run keeps everything that finished (:meth:`grid_records`).
     """
 
     def __init__(
@@ -794,28 +803,19 @@ class ParallelCampaignRunner:
         base_seed: int = 0,
         workers: int | None = None,
         executor: str | SerialExecutor | ProcessExecutor | None = None,
-        chunksize: int | None = None,
         queue_dir: str | Path | None = None,
         lease_s: float | None = None,
         checkpoint_path: str | Path | None = None,
         parquet_path: str | Path | None = None,
-        resume_records: Sequence[RunRecord] | None = None,
-        resume_failures: Sequence[EpisodeFailure] | None = None,
-        policy: FaultTolerancePolicy | None = None,
-        spec: dict | None = None,
-        verbose: bool = False,
-        label: str = "runner",
-        on_record: Callable[[EpisodeTask, RunRecord], None] | None = None,
+        fault_tolerance: FaultTolerancePolicy | None = None,
         episodes_per_slot: int | None = None,
+        verbose: bool = False,
+        on_record: Callable[[EpisodeTask, RunRecord], None] | None = None,
     ):
         if not scenarios:
             raise ValueError("campaign needs at least one scenario")
         if not injectors:
             raise ValueError("campaign needs at least one injector (use {'none': []})")
-        if episodes_per_slot is not None and episodes_per_slot < 1:
-            raise ValueError(
-                f"episodes_per_slot must be >= 1 (got {episodes_per_slot})"
-            )
         self.scenarios = list(scenarios)
         self.agent_factory = agent_factory
         self.injectors = dict(injectors)
@@ -827,81 +827,126 @@ class ParallelCampaignRunner:
         self.executor = make_executor(
             executor,
             workers=workers,
-            chunksize=chunksize,
             queue_dir=queue_dir,
             lease_s=lease_s,
             episodes_per_slot=episodes_per_slot,
         )
+        #: :class:`~repro.core.outcomes.FaultTolerancePolicy` every
+        #: transport honours (``None`` = defaults: one attempt, no
+        #: timeout, abort on the first failure).
+        self.fault_tolerance = fault_tolerance
+        self.verbose = verbose
+        self.on_record = on_record
+        #: The :class:`~repro.core.spec.CampaignSpec` this campaign was
+        #: built from (set by :meth:`from_spec`); published into queue
+        #: brokers so the full campaign definition travels as a portable
+        #: JSON artifact next to the pickled context.
+        self.spec = None
+        # The parquet sink is always coordinator-side, even under the
+        # queue backend: workers append JSONL durably, and this campaign
+        # mirrors completed grid records into the columnar copy.
+        self.parquet_path = Path(parquet_path) if parquet_path else None
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         # A queue executor's broker owns the shared results checkpoint:
-        # adopt it (so resume reads what workers wrote) and skip the
-        # runner's own appends for it (workers already append each record
-        # durably — a second append would just duplicate every line).
+        # adopt it (so resume reads what workers wrote) and skip our own
+        # appends for it (workers already append each record durably — a
+        # second append would just duplicate every line).
         executor_checkpoint = getattr(self.executor, "checkpoint_path", None)
         if executor_checkpoint is not None and self.checkpoint_path is None:
             self.checkpoint_path = Path(executor_checkpoint)
         # Resolve both sides: the same file spelled differently (relative
         # vs absolute, symlinked mount) must still count as owned, or the
-        # runner would re-append every record the workers already wrote.
+        # campaign would re-append every record the workers already wrote.
         self._executor_owns_checkpoint = (
             executor_checkpoint is not None
-            and self.checkpoint_path is not None
             and self.checkpoint_path.resolve() == Path(executor_checkpoint).resolve()
         )
-        # The parquet sink is always coordinator-side, even under the
-        # queue backend: workers append JSONL durably, and this runner
-        # mirrors completed grid records into the columnar copy.
-        self.parquet_path = Path(parquet_path) if parquet_path else None
-        self.verbose = verbose
-        self.label = label
-        self.on_record = on_record
-        #: Serialised campaign spec (``CampaignSpec.to_dict()``) when the
-        #: campaign came from one; published into queue brokers so the
-        #: full campaign definition travels as a portable JSON artifact
-        #: next to the pickled context.
-        self.spec = spec
-        # A torn final line must come off *before* anything appends again
-        # (see repair_jsonl_tail) — this runner, or queue workers sharing
-        # the broker checkpoint.
         if self.checkpoint_path is not None:
+            # A torn final line must come off *before* anything appends
+            # again (see repair_jsonl_tail) — this campaign, or queue
+            # workers sharing the broker checkpoint.
             repair_jsonl_tail(self.checkpoint_path)
-        #: Fault-tolerance policy for this campaign (``None`` = defaults:
-        #: one attempt, no timeout, abort on first failure).
-        self.policy = policy
-        # Explicit resume_records are authoritative (the caller already
-        # loaded or owns them); otherwise read the checkpoint file.  With
-        # neither, an executor may still hold completed work we cannot
-        # see as a file — a queue executor on a *remote* (TCP) broker
-        # keeps its checkpoint server-side — so ask it (resume_rows) to
-        # keep resume semantics identical to the shared-directory case.
-        if resume_records is not None:
-            self._checkpoint_records: list[RunRecord] = list(resume_records)
-            self._checkpoint_failures: list[EpisodeFailure] = (
-                list(resume_failures) if resume_failures is not None else []
+            self._checkpoint_records, self._checkpoint_failures = load_checkpoint_rows(
+                self.checkpoint_path
             )
-        elif self.checkpoint_path is None and hasattr(self.executor, "resume_rows"):
+        elif hasattr(self.executor, "resume_rows"):
+            # A queue executor on a *remote* (TCP) broker keeps its
+            # checkpoint server-side; asking it keeps resume semantics
+            # identical to the shared-directory case.
             self._checkpoint_records, self._checkpoint_failures = (
                 self.executor.resume_rows()
             )
         else:
-            self._checkpoint_records, self._checkpoint_failures = load_checkpoint_rows(
-                self.checkpoint_path
-            )
+            self._checkpoint_records, self._checkpoint_failures = [], []
         self._new_records: dict[int, RunRecord] = {}
         self._new_failures: dict[int, EpisodeFailure] = {}
         self._tasks: list[EpisodeTask] | None = None
+
+    @classmethod
+    def from_spec(
+        cls,
+        spec,
+        *,
+        workers: int | None = None,
+        queue_dir: str | Path | None = None,
+        lease_s: float | None = None,
+        checkpoint_path: str | Path | None = None,
+        parquet_path: str | Path | None = None,
+        fault_tolerance=None,
+        episodes_per_slot: int | None = None,
+        verbose: bool = False,
+    ) -> "Campaign":
+        """Build a campaign from a :class:`~repro.core.spec.CampaignSpec`.
+
+        The keyword overrides (the ``avfi run`` flags) beat the spec's
+        execution options, resolved by
+        :meth:`~repro.core.spec.ExecutionSpec.resolve`; everything else —
+        scenario suite, agent, injectors, builder, base seed — comes from
+        the spec.  The injector table goes through
+        :meth:`~repro.core.spec.CampaignSpec.expanded_injectors`, so
+        compound entries arrive as their concrete expanded grid; every
+        fault is deep-copied here so two campaigns built from one spec
+        never share mutable fault state.
+        """
+        campaign = cls(
+            spec.scenarios.build(),
+            spec.agent.build(),
+            {
+                name: [copy.deepcopy(fault) for fault in faults]
+                for name, faults in spec.expanded_injectors().items()
+            },
+            builder=spec.build_builder(),
+            base_seed=spec.execution.base_seed,
+            verbose=verbose,
+            **spec.execution.resolve(
+                workers=workers,
+                queue_dir=queue_dir,
+                lease_s=lease_s,
+                checkpoint_path=checkpoint_path,
+                parquet_path=parquet_path,
+                fault_tolerance=fault_tolerance,
+                episodes_per_slot=episodes_per_slot,
+            ),
+        )
+        campaign.spec = spec
+        return campaign
+
+    def runner(self) -> "Campaign":
+        """The campaign itself.  Kept only because perfbench's correctness
+        check calls ``campaign.runner().tasks()``; it goes with that call."""
+        return self
 
     # -- planning ------------------------------------------------------
 
     def tasks(self) -> list[EpisodeTask]:
         """The full episode grid in canonical (injector, scenario) order.
 
-        Computed once per runner (fingerprinting deep-copies fault models,
-        and pending()/grid_records() call this several times per run).
-        The fingerprint covers the agent factory and builder signatures
-        (computed once per grid — the NN agent's hashes model weights),
-        so a checkpoint written under a different agent or builder never
-        satisfies this grid.
+        Computed once, on first use — lazily, so a caller may still swap
+        ``agent_factory`` after construction (the service does) and have
+        the fingerprints follow.  The fingerprint covers the agent
+        factory and builder signatures (computed once per grid — the NN
+        agent's hashes model weights), so a checkpoint written under a
+        different agent or builder never satisfies this grid.
         """
         if self._tasks is None:
             component_key = (
@@ -929,10 +974,6 @@ class ParallelCampaignRunner:
         """Number of episodes in the full grid."""
         return len(self.scenarios) * len(self.injectors)
 
-    @staticmethod
-    def _record_identity(record: RunRecord) -> tuple[str, str, int, str]:
-        return record_identity(record)
-
     def completed(self) -> set[tuple[str, str, int, str]]:
         """Identities already present in the checkpoint (or finished).
 
@@ -941,11 +982,13 @@ class ParallelCampaignRunner:
         task.  Re-running one means deleting its row (or using a fresh
         checkpoint).
         """
-        done = {self._record_identity(r) for r in self._checkpoint_records}
-        done.update(self._record_identity(r) for r in self._new_records.values())
-        done.update(self._record_identity(f) for f in self._checkpoint_failures)
-        done.update(self._record_identity(f) for f in self._new_failures.values())
-        return done
+        rows = (
+            self._checkpoint_records,
+            self._new_records.values(),
+            self._checkpoint_failures,
+            self._new_failures.values(),
+        )
+        return {record_identity(row) for group in rows for row in group}
 
     def pending(self) -> list[EpisodeTask]:
         """Grid tasks not yet completed, in canonical order."""
@@ -1002,7 +1045,7 @@ class ParallelCampaignRunner:
             agent_factory=self.agent_factory,
             injectors={name: tuple(faults) for name, faults in self.injectors.items()},
             warm_configs=tuple(warm),
-            policy=self.policy,
+            policy=self.fault_tolerance,
             episodes_per_slot=self.episodes_per_slot or 1,
         )
 
@@ -1012,7 +1055,8 @@ class ParallelCampaignRunner:
         Episodes stream into the checkpoint as they complete (completion
         order), but the returned result is always canonical grid order —
         resumed and fresh runs, serial and parallel executors, all yield
-        the same record sequence.
+        the same record sequence.  A second call with nothing pending
+        executes nothing.
 
         This loop is the one place an episode failure's fate is decided.
         Terminal failures within the policy's ``failure_budget`` are
@@ -1020,7 +1064,8 @@ class ParallelCampaignRunner:
         them.  The first failure over budget aborts: the transport is
         told to stop, everything it still yields is drained — records
         checkpointed, later failures left uncheckpointed so they re-run
-        on resume — and then the original error is re-raised.
+        on resume — and then the original error is re-raised.  What
+        completed stays in :meth:`grid_records` either way.
         """
         pending = self.pending()
         context = self.context()
@@ -1031,9 +1076,8 @@ class ParallelCampaignRunner:
         if self.spec is not None and hasattr(self.executor, "publish_spec"):
             # Queue brokers archive the campaign's declarative spec next
             # to the pickled context, so any attached machine can read
-            # what campaign it is serving (and future brokers can
-            # reconstruct the context from it instead of the pickle).
-            self.executor.publish_spec(self.spec)
+            # what campaign it is serving.
+            self.executor.publish_spec(self.spec.to_dict())
         sink = self._open_parquet_sink()
         try:
             for task, result in self.executor.run(context, pending, stop):
@@ -1054,7 +1098,7 @@ class ParallelCampaignRunner:
                         sink.append(result)
                     if self.verbose:
                         print(
-                            f"[{self.label}] {result.injector:>12} "
+                            f"[campaign] {result.injector:>12} "
                             f"{result.scenario:>8} QUAR {result.error_type} "
                             f"after {result.attempts} attempt(s)"
                         )
@@ -1067,7 +1111,7 @@ class ParallelCampaignRunner:
                 if self.verbose:
                     status = "ok " if record.success else "FAIL"
                     print(
-                        f"[{self.label}] {record.injector:>12} {record.scenario:>8} "
+                        f"[campaign] {record.injector:>12} {record.scenario:>8} "
                         f"{status} {record.distance_km * 1000:6.0f} m  "
                         f"{record.n_violations} violations"
                     )
@@ -1089,7 +1133,7 @@ class ParallelCampaignRunner:
         """
         by_identity: dict[tuple, RunRecord] = {}
         for record in self._checkpoint_records:
-            by_identity.setdefault(self._record_identity(record), record)
+            by_identity.setdefault(record_identity(record), record)
         out = []
         for task in self.tasks():
             record = self._new_records.get(task.index) or by_identity.get(task.identity())
@@ -1104,11 +1148,11 @@ class ParallelCampaignRunner:
         run, then re-run to success after its row was cleared) is not a
         failure any more and is excluded.
         """
-        recorded = {self._record_identity(r) for r in self._checkpoint_records}
-        recorded.update(self._record_identity(r) for r in self._new_records.values())
+        recorded = {record_identity(r) for r in self._checkpoint_records}
+        recorded.update(record_identity(r) for r in self._new_records.values())
         by_identity: dict[tuple, EpisodeFailure] = {}
         for failure in self._checkpoint_failures:
-            by_identity.setdefault(self._record_identity(failure), failure)
+            by_identity.setdefault(record_identity(failure), failure)
         out = []
         for task in self.tasks():
             failure = self._new_failures.get(task.index) or by_identity.get(
@@ -1117,11 +1161,3 @@ class ParallelCampaignRunner:
             if failure is not None and task.identity() not in recorded:
                 out.append(failure)
         return out
-
-    def new_records(self) -> list[RunRecord]:
-        """Records executed by this runner (not resumed), in grid order."""
-        return [self._new_records[i] for i in sorted(self._new_records)]
-
-    def new_failures(self) -> list[EpisodeFailure]:
-        """Failures quarantined by this runner (not resumed), in grid order."""
-        return [self._new_failures[i] for i in sorted(self._new_failures)]

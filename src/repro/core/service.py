@@ -101,7 +101,7 @@ class Submission:
         self.error = ""
         self.traceback_text = ""
         self.created_at = time.time()
-        self.runner = None
+        self.campaign = None
         self.result = None
         self.settled = threading.Event()
 
@@ -315,7 +315,7 @@ class CampaignService:
 
     def _run_submission(self, sub: Submission) -> None:
         from .artifacts import internalize_nn_factory
-        from .campaign import Campaign
+        from .runner import Campaign
 
         overrides = sub.overrides
         campaign = Campaign.from_spec(
@@ -331,17 +331,16 @@ class CampaignService:
         campaign.agent_factory = internalize_nn_factory(
             campaign.agent_factory, self.broker_server.broker, self.broker_address
         )
-        runner = campaign.runner()
-        executor = runner.executor
+        executor = campaign.executor
         # The service's liveness knobs beat the spec's: an unattended
         # submission must respect *this* deployment's stall policy.
         if hasattr(executor, "stall_timeout"):
             executor.stall_timeout = self.stall_timeout
         if hasattr(executor, "poll_s"):
             executor.poll_s = self.poll_s
-        sub.runner = runner
+        sub.campaign = campaign
         sub.state = "running"
-        sub.result = runner.run()
+        sub.result = campaign.run()
 
     # -- reporting -----------------------------------------------------
 
@@ -358,7 +357,7 @@ class CampaignService:
         return out
 
     @staticmethod
-    def _grid_snapshot(runner):
+    def _grid_snapshot(campaign):
         """(records-by-identity, failures-by-identity), tolerant of the
         run loop appending concurrently — the fold dicts only ever grow,
         so retry the rare mid-iteration mutation instead of locking the
@@ -367,8 +366,8 @@ class CampaignService:
 
         for _ in range(8):
             try:
-                records = {record_identity(r): r for r in runner.grid_records()}
-                failures = {record_identity(f): f for f in runner.grid_failures()}
+                records = {record_identity(r): r for r in campaign.grid_records()}
+                failures = {record_identity(f): f for f in campaign.grid_failures()}
                 return records, failures
             except RuntimeError:  # dict changed size mid-iteration
                 continue
@@ -383,13 +382,13 @@ class CampaignService:
         episode), ``running`` for episodes under a live claim,
         ``pending`` otherwise.
         """
-        runner = sub.runner
-        if runner is None:
+        campaign = sub.campaign
+        if campaign is None:
             return []
-        records, failures = self._grid_snapshot(runner)
+        records, failures = self._grid_snapshot(campaign)
         running = self._running_indexes() if not sub.is_settled() else set()
         rows = []
-        for task in runner.tasks():
+        for task in campaign.tasks():
             row = {
                 "index": task.index,
                 "injector": task.injector,
@@ -414,8 +413,8 @@ class CampaignService:
     def summary(self, sub: Submission) -> dict:
         counts: dict[str, int] = {}
         total = None
-        if sub.runner is not None:
-            total = sub.runner.total_runs()
+        if sub.campaign is not None:
+            total = sub.campaign.total_runs()
             for row in self.episode_rows(sub):
                 counts[row["outcome"]] = counts.get(row["outcome"], 0) + 1
         out = {
@@ -436,12 +435,12 @@ class CampaignService:
         serial run of the same spec would write
         (:func:`~repro.core.runner.append_jsonl_line` renders rows with
         the same ``json.dumps``)."""
-        runner = sub.runner
-        if runner is None:
+        campaign = sub.campaign
+        if campaign is None:
             return b""
-        records, failures = self._grid_snapshot(runner)
+        records, failures = self._grid_snapshot(campaign)
         lines = []
-        for task in runner.tasks():
+        for task in campaign.tasks():
             row = records.get(task.identity()) or failures.get(task.identity())
             if row is not None:
                 lines.append(json.dumps(row.to_dict()) + "\n")

@@ -8,8 +8,8 @@ that second layer without touching durability:
 
 * :class:`ParquetSink` — a streaming parquet writer fed one
   :class:`~repro.core.campaign.RunRecord` at a time (row-group batches,
-  bounded memory), written *beside* the JSONL checkpoint by the campaign
-  runner;
+  bounded memory), written *beside* the JSONL checkpoint by the
+  :class:`~repro.core.runner.Campaign`;
 * :func:`iter_jsonl_records` / :func:`iter_parquet_records` /
   :func:`iter_records` — streaming record iterators over either format,
   yielding one record at a time so aggregation
@@ -19,7 +19,7 @@ that second layer without touching durability:
 ``pyarrow`` is an **optional** dependency (the ``parquet`` extra).  When
 it is absent every parquet entry point fails with a readable
 :class:`ParquetUnavailable` message, and callers that can degrade (the
-runner's ``parquet_path``) fall back to JSONL-only with a warning —
+campaign's ``parquet_path``) fall back to JSONL-only with a warning —
 campaigns never die over a missing analytics dependency.
 
 Nested payloads (violation events, fault descriptions) are stored as

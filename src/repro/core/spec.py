@@ -26,14 +26,14 @@ turns an experiment definition into **data**:
   and expands (cartesian product, or a seeded sample of it) into many
   compound injectors, one per combination —
   :meth:`CampaignSpec.expanded_injectors` is the single place the
-  expansion happens, so ``Campaign.from_spec`` / ``Study.from_spec`` and
-  ``avfi`` all see the identical concrete grid.
+  expansion happens, so ``Campaign.from_spec`` and ``avfi`` all see the
+  identical concrete grid.
 
 Fault models serialise through the universal fault registry
 (:meth:`~repro.core.faults.base.FaultModel.to_config` /
 :meth:`~repro.core.faults.base.FaultModel.from_config`), so every
 registered fault — data, hardware, timing, ML, world — can appear in a
-spec file.  ``Campaign.from_spec`` / ``Study.from_spec`` rebuild the
+spec file.  ``Campaign.from_spec`` rebuilds the
 exact programmatic objects, and because checkpoint fingerprints derive
 from the *built* components (:func:`~repro.core.campaign.component_signature`),
 a spec-driven run and its hand-written equivalent produce byte-identical
@@ -359,18 +359,18 @@ class ExecutionSpec:
 
     def resolve(self, **overrides) -> dict:
         """The effective execution options, keyed as
-        :class:`~repro.core.campaign.Campaign`'s keyword arguments.
+        :class:`~repro.core.runner.Campaign`'s keyword arguments (the
+        spec's ``backend`` is the campaign's ``executor``).
 
-        Every non-``None`` override (the ``avfi run`` flags, a study's
-        :meth:`~repro.core.experiment.Study.run` arguments) wins over
-        the spec's field.  Without a ``backend`` override, a queue
-        directory — from the spec or an override — selects the queue
-        backend even when the spec pinned another one: the same archived
-        spec must shard across machines when handed a ``--queue-dir``.
+        Every non-``None`` override (the ``avfi run`` flags) wins over
+        the spec's field.  A queue directory — from the spec or an
+        override — selects the queue backend even when the spec pinned
+        another one: the same archived spec must shard across machines
+        when handed a ``--queue-dir``.
         """
         options = {
             "workers": self.workers,
-            "backend": self.backend,
+            "executor": self.backend,
             "queue_dir": self.queue_dir,
             "lease_s": self.lease_s,
             "checkpoint_path": self.checkpoint,
@@ -379,13 +379,8 @@ class ExecutionSpec:
             "episodes_per_slot": self.episodes_per_slot,
         }
         options.update({k: v for k, v in overrides.items() if v is not None})
-        if overrides.get("backend") is None and options["queue_dir"] is not None:
-            options["backend"] = "queue"
-        elif options["backend"] == "queue" and options["queue_dir"] is None:
-            raise ValueError(
-                "spec asks for the queue backend but no queue_dir is set "
-                "(spec.execution.queue_dir or the queue_dir= override)"
-            )
+        if options["queue_dir"] is not None:
+            options["executor"] = "queue"
         return options
 
     @classmethod
@@ -607,9 +602,8 @@ class CampaignSpec:
     Holds *live* fault models and a live builder (constructed eagerly by
     :meth:`from_dict`, so a broken spec fails at load time with a path
     into the JSON, not mid-campaign); :meth:`to_dict` serialises them
-    back through their config round-trips.  Build runnable objects with
-    :meth:`~repro.core.campaign.Campaign.from_spec` /
-    :meth:`~repro.core.experiment.Study.from_spec`.
+    back through their config round-trips.  Build the runnable campaign
+    with :meth:`~repro.core.runner.Campaign.from_spec`.
     """
 
     scenarios: ScenarioSuiteSpec = field(default_factory=ScenarioSuiteSpec)
@@ -643,7 +637,7 @@ class CampaignSpec:
         name matching a literal entry) are disambiguated with a ``#n``
         suffix in expansion order, so the grid size always equals the
         declared combination count.  This is the *single* expansion
-        point — ``Campaign.from_spec``, ``Study.from_spec`` and the CLI
+        point — ``Campaign.from_spec`` and the CLI
         all call it, so every consumer sees the identical grid in the
         identical order (checkpoint identity depends on that ordering).
         """

@@ -11,7 +11,7 @@ concrete brokers (and is the template for binding any future one).
 import pytest
 
 from repro.agent import autopilot_agent_factory
-from repro.core import FilesystemBroker, ParallelCampaignRunner, standard_scenarios
+from repro.core import Campaign, FilesystemBroker, standard_scenarios
 from repro.core.faults import OutputDelay
 from repro.core.netqueue import BrokerServer, make_broker
 from repro.sim.builders import SimulationBuilder
@@ -33,7 +33,7 @@ def material():
         2, seed=9, town_config=GridTownConfig(rows=2, cols=3),
         min_distance=60, max_distance=160,
     )
-    runner = ParallelCampaignRunner(
+    runner = Campaign(
         scenarios, autopilot_agent_factory(), INJECTORS, builder=builder
     )
     return runner.context(), runner.tasks()

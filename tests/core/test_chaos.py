@@ -17,12 +17,12 @@ import pytest
 
 from repro.agent import autopilot_agent_factory
 from repro.core import (
+    Campaign,
     EpisodeFailureError,
     EpisodeOutcome,
     EpisodeTimeout,
     FaultTolerancePolicy,
     FilesystemBroker,
-    ParallelCampaignRunner,
     QueueExecutor,
     standard_scenarios,
 )
@@ -60,7 +60,7 @@ def scenarios():
 @pytest.fixture(scope="module")
 def reference(builder, scenarios):
     """The fault-free serial reference the chaos runs must reproduce."""
-    result = ParallelCampaignRunner(
+    result = Campaign(
         scenarios, autopilot_agent_factory(), SURVIVORS,
         builder=builder, base_seed=BASE_SEED,
     ).run()
@@ -87,9 +87,9 @@ def _policy(**kw):
     return FaultTolerancePolicy(**kw)
 
 
-def _runner(builder, scenarios, injectors, **kw):
+def _campaign(builder, scenarios, injectors, **kw):
     kw.setdefault("base_seed", BASE_SEED)
-    return ParallelCampaignRunner(
+    return Campaign(
         scenarios, autopilot_agent_factory(), injectors, builder=builder, **kw
     )
 
@@ -116,14 +116,14 @@ class TestPoisonEpisodeAcceptance:
         ] == reference
 
     def test_serial_backend(self, builder, scenarios, reference):
-        result = _runner(
-            builder, scenarios, _poison_grid(), policy=_policy()
+        result = _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy()
         ).run()
         self._check(result, reference, scenarios)
 
     def test_process_backend(self, builder, scenarios, reference):
-        result = _runner(
-            builder, scenarios, _poison_grid(), policy=_policy(), workers=2
+        result = _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy(), workers=2
         ).run()
         self._check(result, reference, scenarios)
 
@@ -132,8 +132,8 @@ class TestPoisonEpisodeAcceptance:
             tmp_path / "q", workers=2, lease_s=10.0, poll_s=0.05,
             stall_timeout=120.0,
         )
-        result = _runner(
-            builder, scenarios, _poison_grid(), policy=_policy(),
+        result = _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy(),
             executor=executor,
         ).run()
         self._check(result, reference, scenarios)
@@ -144,8 +144,8 @@ class TestPoisonEpisodeAcceptance:
     def test_quarantined_triples_surface_on_the_result(
         self, builder, scenarios, reference
     ):
-        result = _runner(
-            builder, scenarios, _poison_grid(), policy=_policy()
+        result = _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy()
         ).run()
         scn = scenarios[0].name
         assert [(i, s) for i, s, _ in result.quarantined()] == [
@@ -155,8 +155,8 @@ class TestPoisonEpisodeAcceptance:
     def test_save_load_round_trips_the_quarantine_list(
         self, builder, scenarios, tmp_path
     ):
-        result = _runner(
-            builder, scenarios, _poison_grid(), policy=_policy()
+        result = _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy()
         ).run()
         path = tmp_path / "records.json"
         result.save(path)
@@ -176,7 +176,7 @@ class TestPoisonEpisodeAcceptance:
         checkpoint = tmp_path / "abort.jsonl"
         queue_dir = tmp_path / "q"
 
-        def make_runner():
+        def make_campaign():
             execution = {
                 "serial": dict(checkpoint_path=checkpoint),
                 "multiplexed": dict(
@@ -189,9 +189,9 @@ class TestPoisonEpisodeAcceptance:
                     stall_timeout=120.0,
                 )),
             }[backend]
-            return _runner(
+            return _campaign(
                 builder, scenarios, _poison_grid(),
-                policy=_policy(failure_budget=1), **execution,
+                fault_tolerance=_policy(failure_budget=1), **execution,
             )
 
         # One poison episode is admitted (budget spent); the other is
@@ -199,8 +199,8 @@ class TestPoisonEpisodeAcceptance:
         with pytest.raises(
             (InjectedCrash, EpisodeTimeout, EpisodeFailureError)
         ) as raised:
-            make_runner().run()
-        resumed = make_runner()
+            make_campaign().run()
+        resumed = make_campaign()
         (over,) = resumed.pending()
         admitted = {"chaos-crash", "chaos-hang"} - {over.injector}
         expected = {"chaos-crash": InjectedCrash, "chaos-hang": EpisodeTimeout}
@@ -231,12 +231,12 @@ class TestPoisonEpisodeAcceptance:
         """Quarantined identities count as completed: a resumed campaign
         must not re-burn compute on poison tasks."""
         checkpoint = tmp_path / "resume.jsonl"
-        _runner(
-            builder, scenarios, _poison_grid(), policy=_policy(),
+        _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy(),
             checkpoint_path=checkpoint,
         ).run()
-        resumed = _runner(
-            builder, scenarios, _poison_grid(), policy=_policy(),
+        resumed = _campaign(
+            builder, scenarios, _poison_grid(), fault_tolerance=_policy(),
             checkpoint_path=checkpoint,
         )
         assert resumed.pending() == []
@@ -254,12 +254,12 @@ class TestTransientRetryAcrossBackends:
         policy = FaultTolerancePolicy(max_attempts=3, backoff_s=0.0)
         flaky = FlakyFault(str(tmp_path), fail_times=2)
         grid = dict(SURVIVORS, **{"chaos-flaky": [flaky]})
-        retried = _runner(builder, scenarios, grid, policy=policy).run()
+        retried = _campaign(builder, scenarios, grid, fault_tolerance=policy).run()
         assert not retried.failures
         # Counterpart: same fault config/state_dir, allowance pre-spent.
         flaky.counter_path.unlink()
         flaky.exhaust()
-        first_try = _runner(builder, scenarios, grid, policy=policy).run()
+        first_try = _campaign(builder, scenarios, grid, fault_tolerance=policy).run()
         assert not first_try.failures
         assert [json.dumps(r.to_dict(), sort_keys=True) for r in retried.records] \
             == [json.dumps(r.to_dict(), sort_keys=True) for r in first_try.records]
@@ -267,7 +267,7 @@ class TestTransientRetryAcrossBackends:
 
 class TestChaosBrokerUnit:
     def _published(self, builder, scenarios, tmp_path, **chaos):
-        runner = _runner(builder, scenarios, SURVIVORS)
+        runner = _campaign(builder, scenarios, SURVIVORS)
         inner = FilesystemBroker(tmp_path / "q", lease_s=30.0)
         inner.publish(runner.context(), runner.tasks())
         return inner, ChaosBroker(inner, seed=7, **chaos)
@@ -355,7 +355,7 @@ class TestChaosCampaignByteIdentity:
                 drop_release_p=0.3,
             ),
         )
-        result = _runner(builder, scenarios, SURVIVORS, executor=executor).run()
+        result = _campaign(builder, scenarios, SURVIVORS, executor=executor).run()
         assert not result.failures
         assert [
             json.dumps(r.to_dict(), sort_keys=True) for r in result.records

@@ -15,7 +15,7 @@ import signal
 import time
 
 from repro.agent import autopilot_agent_factory
-from repro.core import ParallelCampaignRunner, standard_scenarios
+from repro.core import Campaign, standard_scenarios
 from repro.core.faults import OutputDelay
 from repro.core.runner import (
     append_jsonl_line,
@@ -46,7 +46,7 @@ def _append_many(path, writer, count):
 
 
 def _run_checkpointed_campaign(checkpoint):
-    runner = ParallelCampaignRunner(
+    runner = Campaign(
         _scenarios(), autopilot_agent_factory(), INJECTORS,
         builder=_tiny_builder(), executor="serial", checkpoint_path=checkpoint,
     )
@@ -147,21 +147,21 @@ class TestTornTailRepair:
         appends the re-run episode), then resume AGAIN — the second
         resume used to die with 'corrupt checkpoint' on the glued line."""
         checkpoint = tmp_path / "campaign.jsonl"
-        full = ParallelCampaignRunner(
+        full = Campaign(
             _scenarios(), autopilot_agent_factory(), INJECTORS,
             builder=_tiny_builder(), executor="serial", checkpoint_path=checkpoint,
         ).run()
         lines = checkpoint.read_text().splitlines()
         checkpoint.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:25])
 
-        resumed = ParallelCampaignRunner(
+        resumed = Campaign(
             _scenarios(), autopilot_agent_factory(), INJECTORS,
             builder=_tiny_builder(), executor="serial", checkpoint_path=checkpoint,
         )
         assert len(resumed.pending()) == 1
         resumed.run()
 
-        again = ParallelCampaignRunner(  # would raise before the fix
+        again = Campaign(  # would raise before the fix
             _scenarios(), autopilot_agent_factory(), INJECTORS,
             builder=_tiny_builder(), executor="serial", checkpoint_path=checkpoint,
         )
@@ -176,7 +176,7 @@ class TestKillMidWrite:
         """Kill a checkpointing campaign process with SIGKILL as soon as
         it starts appending; every surviving line must parse and a resume
         must complete the grid identically to an uninterrupted run."""
-        reference = ParallelCampaignRunner(
+        reference = Campaign(
             _scenarios(), autopilot_agent_factory(), INJECTORS,
             builder=_tiny_builder(), executor="serial",
         ).run()
@@ -203,7 +203,7 @@ class TestKillMidWrite:
             json.loads(line)
         assert len(survivors) >= 1, "fsync'd record must survive the kill"
 
-        resumed = ParallelCampaignRunner(
+        resumed = Campaign(
             _scenarios(), autopilot_agent_factory(), INJECTORS,
             builder=_tiny_builder(), executor="serial", checkpoint_path=checkpoint,
         )

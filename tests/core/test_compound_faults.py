@@ -672,7 +672,7 @@ class TestCompoundCampaign:
 
         serial = run()
         process = run(workers=2)
-        queue = run(backend="queue", queue_dir=tmp_path / "q", workers=1)
+        queue = run(executor="queue", queue_dir=tmp_path / "q", workers=1)
         serial_rows = [r.to_dict() for r in serial.records]
         assert [r.to_dict() for r in process.records] == serial_rows
         assert [r.to_dict() for r in queue.records] == serial_rows

@@ -1,4 +1,4 @@
-"""Tests for experiment orchestration (sweeps, studies) and task tiers."""
+"""Tests for experiment orchestration (sweeps, resumable campaigns) and task tiers."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.agent import autopilot_agent_factory
 from repro.agent.planner import Command, RoutePlanner
-from repro.core import Study, summary_frame, sweep
+from repro.core import Campaign, summary_frame, sweep
 from repro.core.faults import GaussianNoise, OutputDelay
 from repro.sim import Task, TASK_SPECS, make_task_scenarios
 from repro.sim.builders import SimulationBuilder
@@ -42,6 +42,8 @@ class TestSweep:
 
 
 class TestStudy:
+    """A campaign used as a resumable study: checkpoint, resume, metrics."""
+
     def _scenarios(self):
         from repro.core import standard_scenarios
 
@@ -51,26 +53,26 @@ class TestStudy:
 
     def test_validation(self, builder):
         with pytest.raises(ValueError):
-            Study([], autopilot_agent_factory(), {"none": []}, builder=builder)
+            Campaign([], autopilot_agent_factory(), {"none": []}, builder=builder)
         with pytest.raises(ValueError):
-            Study(self._scenarios(), autopilot_agent_factory(), {}, builder=builder)
+            Campaign(self._scenarios(), autopilot_agent_factory(), {}, builder=builder)
 
     def test_run_executes_all(self, builder):
-        study = Study(
+        study = Campaign(
             self._scenarios(),
             autopilot_agent_factory(),
             {"none": [], "delay": [OutputDelay(8)]},
             builder=builder,
         )
-        records = study.run()
-        assert len(records) == 4
+        result = study.run()
+        assert len(result.records) == 4
         assert study.pending() == []
-        assert set(study.metrics()) == {"none", "delay"}
+        assert set(result.metrics()) == {"none", "delay"}
 
     def test_checkpoint_resume_skips_done(self, builder, tmp_path):
         path = tmp_path / "study.jsonl"
         scenarios = self._scenarios()
-        study1 = Study(
+        study1 = Campaign(
             scenarios[:1], autopilot_agent_factory(), {"none": []},
             checkpoint_path=path, builder=builder,
         )
@@ -79,19 +81,19 @@ class TestStudy:
         assert len(path.read_text().splitlines()) == 1
 
         # A second study over a superset resumes: only the new work runs.
-        study2 = Study(
+        study2 = Campaign(
             scenarios, autopilot_agent_factory(), {"none": []},
             checkpoint_path=path, builder=builder,
         )
-        assert len(study2.records) == 1  # loaded from checkpoint
+        assert len(study2.grid_records()) == 1  # loaded from checkpoint
         assert len(study2.pending()) == 1
-        records = study2.run()
+        records = study2.run().records
         assert len(records) == 2
         assert len(path.read_text().splitlines()) == 2
 
     def test_checkpoint_rows_are_valid_records(self, builder, tmp_path):
         path = tmp_path / "study.jsonl"
-        study = Study(
+        study = Campaign(
             self._scenarios()[:1], autopilot_agent_factory(), {"none": []},
             checkpoint_path=path, builder=builder,
         )
@@ -108,11 +110,11 @@ class TestSummaryFrame:
         scenarios = standard_scenarios(
             1, seed=9, town_config=TOWN, min_distance=60, max_distance=160
         )
-        study = Study(
+        study = Campaign(
             scenarios, autopilot_agent_factory(),
             {"none": [], "delay": [OutputDelay(8)]}, builder=builder,
         )
-        rows = summary_frame(study.run())
+        rows = summary_frame(study.run().records)
         assert [r["injector"] for r in rows] == ["none", "delay"]
         assert all("msr_percent" in r and "vpk" in r for r in rows)
         assert json.dumps(rows)  # fully serialisable

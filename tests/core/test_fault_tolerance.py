@@ -19,6 +19,7 @@ import pytest
 
 from repro.agent import autopilot_agent_factory
 from repro.core import (
+    Campaign,
     EpisodeFailure,
     EpisodeFailureError,
     EpisodeOutcome,
@@ -26,7 +27,6 @@ from repro.core import (
     FaultTolerancePolicy,
     FilesystemBroker,
     MetricsAccumulator,
-    ParallelCampaignRunner,
     attempt_task,
     load_checkpoint_rows,
     metrics_by_injector,
@@ -53,14 +53,14 @@ def scenarios():
     return standard_scenarios(1, seed=9, town_config=TOWN, min_distance=60, max_distance=160)
 
 
-def _runner(builder, scenarios, injectors, **kw):
-    return ParallelCampaignRunner(
+def _campaign(builder, scenarios, injectors, **kw):
+    return Campaign(
         scenarios, autopilot_agent_factory(), injectors, builder=builder, **kw
     )
 
 
 def _task_and_context(builder, scenarios, injectors, policy=None):
-    runner = _runner(builder, scenarios, injectors, policy=policy)
+    runner = _campaign(builder, scenarios, injectors, fault_tolerance=policy)
     return runner.tasks()[0], runner.context()
 
 
@@ -304,7 +304,7 @@ class TestBrokerFailureRoundTrip:
     """Satellite: requeue_failed preserves payloads and clears reports."""
 
     def _published(self, builder, scenarios, tmp_path):
-        runner = _runner(builder, scenarios, {"none": []})
+        runner = _campaign(builder, scenarios, {"none": []})
         broker = FilesystemBroker(tmp_path / "q", lease_s=30.0)
         broker.publish(runner.context(), runner.tasks())
         return broker

@@ -20,7 +20,6 @@ from repro.core import (
     EpisodeDriver,
     EpisodeMultiplexer,
     FaultTolerancePolicy,
-    ParallelCampaignRunner,
     SerialExecutor,
     make_executor,
     multiplex_slot_size,
@@ -132,7 +131,7 @@ class TestMultiplexedByteIdentity:
         ).run()
         mux = Campaign(
             scenarios, AutopilotAgentFactory(), injectors(),
-            builder=builder, base_seed=7, backend="multiplexed",
+            builder=builder, base_seed=7, executor="multiplexed",
             episodes_per_slot=4,
         ).run()
         assert_records_equal(serial, mux)
@@ -146,7 +145,7 @@ class TestMultiplexedByteIdentity:
         ).run()
         mux = Campaign(
             scenarios[:2], nn_agent_factory(model), injectors_nn,
-            builder=builder, base_seed=3, backend="multiplexed",
+            builder=builder, base_seed=3, executor="multiplexed",
             episodes_per_slot=4,
         ).run()
         assert_records_equal(serial, mux)
@@ -169,7 +168,7 @@ class TestMultiplexedByteIdentity:
         ).run()
         queued = Campaign(
             scenarios[:2], AutopilotAgentFactory(), injectors(),
-            builder=builder, base_seed=7, backend="queue",
+            builder=builder, base_seed=7, executor="queue",
             queue_dir=tmp_path / "q", workers=1, episodes_per_slot=3,
         ).run()
         assert_records_equal(serial, queued)
@@ -182,7 +181,7 @@ class TestMultiplexedByteIdentity:
         ).run()
         mux = Campaign(
             scenarios[:1], AutopilotAgentFactory(), {"none": []},
-            builder=builder, base_seed=7, backend="multiplexed",
+            builder=builder, base_seed=7, executor="multiplexed",
             episodes_per_slot=4, fault_tolerance=policy,
         ).run()
         assert_records_equal(serial, mux)
@@ -217,27 +216,27 @@ class TestSlotResolution:
         assert make_executor(None, workers=3, episodes_per_slot=4).name == "process"
 
     def test_context_slot_size_fallbacks(self, builder, scenarios):
-        runner = ParallelCampaignRunner(
+        campaign = Campaign(
             scenarios, autopilot_agent_factory(), {"none": []},
             builder=builder, episodes_per_slot=5,
         )
-        assert multiplex_slot_size(runner.context()) == 5
-        plain = ParallelCampaignRunner(
+        assert multiplex_slot_size(campaign.context()) == 5
+        plain = Campaign(
             scenarios, autopilot_agent_factory(), {"none": []}, builder=builder,
         )
         assert multiplex_slot_size(plain.context()) == 1
 
     def test_bare_multiplexed_backend_defaults_slot(self, builder, scenarios):
-        """backend="multiplexed" without a slot size must still
+        """executor="multiplexed" without a slot size must still
         actually multiplex (the default, not 1)."""
-        runner = ParallelCampaignRunner(
+        campaign = Campaign(
             scenarios, autopilot_agent_factory(), {"none": []},
             builder=builder, executor="multiplexed",
         )
-        mux = EpisodeMultiplexer(runner.context())
+        mux = EpisodeMultiplexer(campaign.context())
         assert mux.episodes_per_slot == 1  # context says 1...
         # ...the executor upgrades it.
-        assert runner.executor.episodes_per_slot == DEFAULT_EPISODES_PER_SLOT > 1
+        assert campaign.executor.episodes_per_slot == DEFAULT_EPISODES_PER_SLOT > 1
 
     def test_validation(self, builder, scenarios):
         with pytest.raises(ValueError):
@@ -248,9 +247,9 @@ class TestSlotResolution:
                 builder=builder, episodes_per_slot=0,
             )
         with pytest.raises(ValueError):
-            ParallelCampaignRunner(
+            Campaign(
                 scenarios, autopilot_agent_factory(), {"none": []},
-                builder=builder, episodes_per_slot=0,
+                builder=builder, episodes_per_slot=0, workers=2,
             )
 
 
@@ -288,7 +287,8 @@ class TestSpecPlumbing:
             execution=ExecutionSpec(backend="multiplexed", episodes_per_slot=2),
         )
         campaign = Campaign.from_spec(spec)
-        assert campaign.backend == "multiplexed"
+        assert isinstance(campaign.executor, SerialExecutor)
+        assert campaign.executor.episodes_per_slot == 2
         assert campaign.episodes_per_slot == 2
         override = Campaign.from_spec(spec, episodes_per_slot=7)
         assert override.episodes_per_slot == 7
@@ -334,7 +334,7 @@ class TestCliPlumbing:
     def test_queue_status_reports_campaign(self, builder, scenarios, tmp_path, capsys):
         Campaign(
             scenarios[:1], AutopilotAgentFactory(), {"none": []},
-            builder=builder, backend="queue", queue_dir=tmp_path / "q", workers=1,
+            builder=builder, executor="queue", queue_dir=tmp_path / "q", workers=1,
         ).run()
         from repro.cli import main
 

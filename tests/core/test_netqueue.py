@@ -21,8 +21,8 @@ import pytest
 
 from repro.agent import autopilot_agent_factory
 from repro.core import (
+    Campaign,
     FilesystemBroker,
-    ParallelCampaignRunner,
     QueueExecutor,
     run_worker,
     standard_scenarios,
@@ -71,8 +71,8 @@ def scenarios():
     return standard_scenarios(2, seed=9, town_config=TOWN, min_distance=60, max_distance=160)
 
 
-def _runner(builder, scenarios, injectors=INJECTORS, **kw):
-    return ParallelCampaignRunner(
+def _campaign(builder, scenarios, injectors=INJECTORS, **kw):
+    return Campaign(
         scenarios, autopilot_agent_factory(), injectors, builder=builder, **kw
     )
 
@@ -80,7 +80,7 @@ def _runner(builder, scenarios, injectors=INJECTORS, **kw):
 @pytest.fixture(scope="module")
 def serial_dicts(builder, scenarios):
     """The serial ground truth every acceptance test compares against."""
-    return [r.to_dict() for r in _runner(builder, scenarios).run().records]
+    return [r.to_dict() for r in _campaign(builder, scenarios).run().records]
 
 
 def _queue_executor(address, **kw):
@@ -121,15 +121,15 @@ def _wait_for(predicate, timeout=60.0, interval=0.002, message="condition"):
 
 
 class _CoordinatorThread(threading.Thread):
-    def __init__(self, runner):
+    def __init__(self, campaign):
         super().__init__(daemon=True)
-        self.runner = runner
+        self.campaign = campaign
         self.result = None
         self.error = None
 
     def run(self):
         try:
-            self.result = self.runner.run()
+            self.result = self.campaign.run()
         except BaseException as exc:  # noqa: BLE001 — surfaced in the test
             self.error = exc
 
@@ -325,18 +325,18 @@ class TestTcpBrokerPlumbing:
         """The state directory is authoritative: stop the server, serve
         the same root again, and the published queue is still there."""
         root = tmp_path / "queue"
-        runner = _runner(builder, scenarios)
+        campaign = _campaign(builder, scenarios)
         first = BrokerServer(root, port=0).start()
         try:
             make_broker(first.address).publish(
-                runner.context(), runner.tasks()
+                campaign.context(), campaign.tasks()
             )
         finally:
             first.stop()
         second = BrokerServer(root, port=0).start()
         try:
             broker = make_broker(second.address)
-            assert broker.status()["pending"] == len(runner.tasks())
+            assert broker.status()["pending"] == len(campaign.tasks())
             claim = broker.claim("survivor")
             assert claim is not None and broker.release(claim) is True
         finally:
@@ -357,7 +357,7 @@ class TestTcpAcceptance:
         server-side, the task requeues, and the folded result is
         identical to a serial run."""
         coordinator = _CoordinatorThread(
-            _runner(
+            _campaign(
                 builder, scenarios,
                 executor=_queue_executor(server.address, lease_s=1.5),
             )
@@ -380,12 +380,33 @@ class TestTcpAcceptance:
         assert _dicts(result) == serial_dicts
 
         # Resume purely from the server-side checkpoint: nothing pending.
-        resumed = _runner(
+        resumed = _campaign(
             builder, scenarios,
             checkpoint_path=fs.root / "results.jsonl",
         )
         assert resumed.pending() == []
         assert _dicts(resumed.run()) == serial_dicts
+
+    def test_second_campaign_resumes_from_the_server_without_a_checkpoint(
+        self, builder, scenarios, serial_dicts, server
+    ):
+        """A remote broker keeps the checkpoint server-side: a second
+        campaign on the same tcp:// address, with no checkpoint_path of
+        its own, must see the grid as done and return the same bytes."""
+        first = _campaign(
+            builder, scenarios, executor=_queue_executor(server.address, workers=1)
+        ).run()
+        assert _dicts(first) == serial_dicts
+
+        executed = []
+        again = _campaign(
+            builder, scenarios, executor=_queue_executor(server.address, workers=0),
+            on_record=lambda task, record: executed.append(task.index),
+        )
+        assert again.checkpoint_path is None
+        assert again.pending() == []
+        assert _dicts(again.run()) == serial_dicts
+        assert executed == []
 
     def test_chaotic_tcp_campaign_matches_serial(
         self, builder, scenarios, serial_dicts, server
@@ -395,7 +416,7 @@ class TestTcpAcceptance:
         duplicates), torn frames, reconnect storms — and the folded
         campaign is still byte-identical to the serial run."""
         executor = _queue_executor(server.address, workers=2, chaos=CHAOS)
-        result = _runner(builder, scenarios, executor=executor).run()
+        result = _campaign(builder, scenarios, executor=executor).run()
         assert _dicts(result) == serial_dicts
 
     def test_chaotic_external_workers_match_serial(
@@ -404,7 +425,7 @@ class TestTcpAcceptance:
         """Same invariant with `avfi worker`-style external drains, each
         carrying its own decorrelated chaos seed."""
         coordinator = _CoordinatorThread(
-            _runner(builder, scenarios, executor=_queue_executor(server.address))
+            _campaign(builder, scenarios, executor=_queue_executor(server.address))
         )
         coordinator.start()
         fs = server.broker

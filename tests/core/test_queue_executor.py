@@ -20,9 +20,7 @@ from repro.agent import autopilot_agent_factory
 from repro.core import (
     Campaign,
     FilesystemBroker,
-    ParallelCampaignRunner,
     QueueExecutor,
-    Study,
     make_executor,
     run_worker,
     standard_scenarios,
@@ -47,8 +45,8 @@ def scenarios():
     return standard_scenarios(2, seed=9, town_config=TOWN, min_distance=60, max_distance=160)
 
 
-def _runner(builder, scenarios, injectors=INJECTORS, **kw):
-    return ParallelCampaignRunner(
+def _campaign(builder, scenarios, injectors=INJECTORS, **kw):
+    return Campaign(
         scenarios, autopilot_agent_factory(), injectors, builder=builder, **kw
     )
 
@@ -90,17 +88,17 @@ def _wait_for(predicate, timeout=60.0, interval=0.002, message="condition"):
 
 
 class _CoordinatorThread(threading.Thread):
-    """Runs ``runner.run()`` so the test can orchestrate workers around it."""
+    """Runs ``campaign.run()`` so the test can orchestrate workers around it."""
 
-    def __init__(self, runner):
+    def __init__(self, campaign):
         super().__init__(daemon=True)
-        self.runner = runner
+        self.campaign = campaign
         self.result = None
         self.error = None
 
     def run(self):
         try:
-            self.result = self.runner.run()
+            self.result = self.campaign.run()
         except BaseException as exc:  # noqa: BLE001 — surfaced in the test
             self.error = exc
 
@@ -117,11 +115,11 @@ class TestQueueAcceptance:
         """≥2 worker processes, one SIGKILLed mid-episode; its lease
         expires, the task requeues, and the result — rebuilt purely from
         the shared JSONL checkpoint — is identical to a serial run."""
-        serial = _runner(builder, scenarios, executor="serial").run()
+        serial = _campaign(builder, scenarios, executor="serial").run()
 
         qdir = tmp_path / "queue"
         coordinator = _CoordinatorThread(
-            _runner(builder, scenarios, executor=_queue_executor(qdir, lease_s=1.5))
+            _campaign(builder, scenarios, executor=_queue_executor(qdir, lease_s=1.5))
         )
         coordinator.start()
         broker = FilesystemBroker(qdir)
@@ -143,7 +141,7 @@ class TestQueueAcceptance:
         assert _dicts(result) == _dicts(serial)
 
         # Resume purely from the checkpoint: nothing pending, same grid.
-        resumed = _runner(
+        resumed = _campaign(
             builder, scenarios, executor="serial", checkpoint_path=qdir / "results.jsonl"
         )
         assert resumed.pending() == []
@@ -153,13 +151,13 @@ class TestQueueAcceptance:
         """backend-style inline use: the executor spawns its own drain
         processes; a second run against the same queue dir resumes from
         the checkpoint and executes nothing."""
-        serial = _runner(builder, scenarios, executor="serial").run()
+        serial = _campaign(builder, scenarios, executor="serial").run()
         qdir = tmp_path / "queue"
-        first = _runner(builder, scenarios, executor=_queue_executor(qdir, workers=2))
+        first = _campaign(builder, scenarios, executor=_queue_executor(qdir, workers=2))
         assert first.checkpoint_path == qdir / "results.jsonl"
         assert _dicts(first.run()) == _dicts(serial)
 
-        again = _runner(builder, scenarios, executor=_queue_executor(qdir, workers=2))
+        again = _campaign(builder, scenarios, executor=_queue_executor(qdir, workers=2))
         assert again.pending() == []
         assert _dicts(again.run()) == _dicts(serial)
 
@@ -172,7 +170,7 @@ class TestLeases:
     runs them against the filesystem AND TCP brokers."""
 
     def _published_broker(self, builder, scenarios, qdir):
-        runner = _runner(builder, scenarios)
+        runner = _campaign(builder, scenarios)
         broker = FilesystemBroker(qdir, lease_s=0.5)
         broker.publish(runner.context(), runner.tasks())
         return broker, runner
@@ -252,7 +250,7 @@ class TestLeases:
         with retuned faults — executing new tasks against the old context
         would checkpoint wrong results under the new fingerprints."""
         qdir = tmp_path / "q"
-        first = _runner(builder, scenarios[:1], injectors={"delay": [OutputDelay(8)]})
+        first = _campaign(builder, scenarios[:1], injectors={"delay": [OutputDelay(8)]})
         broker = FilesystemBroker(qdir)
         broker.publish(first.context(), first.tasks())
 
@@ -266,7 +264,7 @@ class TestLeases:
         _wait_for(lambda: len(broker.result_identities()) >= 1,
                   message="first campaign drained")
 
-        retuned = _runner(builder, scenarios[:1], injectors={"delay": [OutputDelay(30)]})
+        retuned = _campaign(builder, scenarios[:1], injectors={"delay": [OutputDelay(30)]})
         broker.publish(retuned.context(), retuned.tasks())
         worker.join(timeout=60)
         assert not worker.is_alive()
@@ -283,13 +281,13 @@ class TestLeases:
         must not survive a re-publish — it would expire, requeue, and
         burn a worker on work outside the new grid."""
         qdir = tmp_path / "q"
-        old = _runner(builder, scenarios, injectors={"none": []})
+        old = _campaign(builder, scenarios, injectors={"none": []})
         broker = FilesystemBroker(qdir, lease_s=0.5)
         broker.publish(old.context(), old.tasks())
         orphan = broker.claim("crashed-worker")
         assert orphan is not None
 
-        new = _runner(builder, scenarios, injectors={"delay": [OutputDelay(8)]})
+        new = _campaign(builder, scenarios, injectors={"delay": [OutputDelay(8)]})
         broker.publish(new.context(), new.tasks())
         assert broker._list(broker.claimed_dir) == []
         assert not broker._lease_path(orphan.name).exists()
@@ -300,10 +298,10 @@ class TestLeases:
     def test_worker_skips_identity_already_in_results(self, builder, scenarios, tmp_path):
         """A requeued task whose record already landed (finish-after-
         expiry) must be retired by the next claimer, not re-run."""
-        reference = _runner(builder, scenarios[:1], injectors={"none": []},
+        reference = _campaign(builder, scenarios[:1], injectors={"none": []},
                             executor="serial").run()
         qdir = tmp_path / "q"
-        runner = _runner(builder, scenarios[:1], injectors={"none": []})
+        runner = _campaign(builder, scenarios[:1], injectors={"none": []})
         broker = FilesystemBroker(qdir)
         broker.publish(runner.context(), runner.tasks())
         broker.append_result(reference.records[0])
@@ -320,12 +318,12 @@ class TestCheckpointRecovery:
         """Two records for one identity (lease expired after the worker
         finished, episode re-ran) must fold to a single grid row."""
         checkpoint = tmp_path / "dup.jsonl"
-        reference = _runner(builder, scenarios, executor="serial",
+        reference = _campaign(builder, scenarios, executor="serial",
                             checkpoint_path=checkpoint).run()
         lines = checkpoint.read_text().splitlines()
         checkpoint.write_text("\n".join(lines + [lines[-1], lines[0]]) + "\n")
 
-        resumed = _runner(builder, scenarios, executor="serial",
+        resumed = _campaign(builder, scenarios, executor="serial",
                           checkpoint_path=checkpoint)
         assert resumed.pending() == []
         records = resumed.grid_records()
@@ -341,11 +339,11 @@ class TestCheckpointRecovery:
             1, seed=10, town_config=TOWN, min_distance=60, max_distance=160
         )
         qdir = tmp_path / "q"
-        _runner(builder, other_suite, injectors={"none": []}, executor="serial",
+        _campaign(builder, other_suite, injectors={"none": []}, executor="serial",
                 checkpoint_path=qdir / "results.jsonl").run()
 
-        serial = _runner(builder, scenarios[:1], executor="serial").run()
-        queue_run = _runner(builder, scenarios[:1],
+        serial = _campaign(builder, scenarios[:1], executor="serial").run()
+        queue_run = _campaign(builder, scenarios[:1],
                             executor=_queue_executor(qdir, workers=1))
         assert len(queue_run.pending()) == len(queue_run.tasks()), \
             "foreign rows must not satisfy the grid"
@@ -353,7 +351,7 @@ class TestCheckpointRecovery:
         assert _dicts(result) == _dicts(serial)
         foreign = {
             t.fingerprint
-            for t in _runner(builder, other_suite, injectors={"none": []}).tasks()
+            for t in _campaign(builder, other_suite, injectors={"none": []}).tasks()
         }
         assert all(r.config_fingerprint not in foreign for r in result.records)
 
@@ -362,7 +360,7 @@ class TestCheckpointRecovery:
         partial final line; the queue resume drops it and re-runs exactly
         that episode."""
         qdir = tmp_path / "q"
-        full = _runner(builder, scenarios,
+        full = _campaign(builder, scenarios,
                        executor=_queue_executor(qdir, workers=2)).run()
         checkpoint = qdir / "results.jsonl"
         lines = checkpoint.read_text().splitlines()
@@ -370,7 +368,7 @@ class TestCheckpointRecovery:
             "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2]
         )
 
-        resumed = _runner(builder, scenarios,
+        resumed = _campaign(builder, scenarios,
                           executor=_queue_executor(qdir, workers=1))
         assert len(resumed.pending()) == 1
         assert _dicts(resumed.run()) == _dicts(full)
@@ -380,7 +378,7 @@ class TestCheckpointRecovery:
         completed records stay checkpointed, and a resume with the fault
         fixed runs only the remainder."""
         qdir = tmp_path / "q"
-        broken = ParallelCampaignRunner(
+        broken = Campaign(
             scenarios, _ExplodingFactory(scenarios[1]), {"none": []},
             builder=builder, executor=_queue_executor(qdir, workers=1),
         )
@@ -388,9 +386,9 @@ class TestCheckpointRecovery:
             broken.run()
         assert FilesystemBroker(qdir).failures(), "error report must be parked"
 
-        serial = _runner(builder, scenarios, injectors={"none": []},
+        serial = _campaign(builder, scenarios, injectors={"none": []},
                          executor="serial").run()
-        fixed = _runner(builder, scenarios, injectors={"none": []},
+        fixed = _campaign(builder, scenarios, injectors={"none": []},
                         executor=_queue_executor(qdir, workers=1))
         assert 1 <= len(fixed.pending()) <= 2
         assert _dicts(fixed.run()) == _dicts(serial)
@@ -441,7 +439,7 @@ class TestPlumbing:
         as executor-owned — otherwise the runner duplicates every line
         the workers already appended."""
         monkeypatch.chdir(tmp_path)
-        runner = _runner(
+        runner = _campaign(
             builder, scenarios,
             executor=_queue_executor(tmp_path / "q"),
             checkpoint_path="q/results.jsonl",
@@ -453,26 +451,24 @@ class TestPlumbing:
                           builder=builder).run()
         queued = Campaign(
             scenarios[:1], autopilot_agent_factory(), INJECTORS, builder=builder,
-            backend="queue", queue_dir=tmp_path / "q", workers=2, lease_s=10.0,
+            executor="queue", queue_dir=tmp_path / "q", workers=2, lease_s=10.0,
         ).run()
         assert _dicts(queued) == _dicts(serial)
-        with pytest.raises(ValueError, match="not both"):
-            Campaign(scenarios[:1], autopilot_agent_factory(), INJECTORS,
-                     backend="queue", executor="serial")
 
     def test_study_run_over_queue_mirrors_checkpoint(self, builder, scenarios, tmp_path):
-        reference = Study(
+        reference = Campaign(
             scenarios[:1], autopilot_agent_factory(), INJECTORS,
             checkpoint_path=tmp_path / "ref.jsonl", builder=builder,
-        ).run()
-        study = Study(
+        ).run().records
+        study = Campaign(
             scenarios[:1], autopilot_agent_factory(), INJECTORS,
             checkpoint_path=tmp_path / "study.jsonl", builder=builder,
+            workers=1, queue_dir=tmp_path / "q",
         )
-        records = study.run(workers=1, queue_dir=tmp_path / "q")
+        records = study.run().records
         assert [r.to_dict() for r in records] == [r.to_dict() for r in reference]
-        # The study's own checkpoint got every record (mirrored), so a
-        # plain serial resume sees nothing pending.
+        # The campaign's own checkpoint got every record (mirrored), so
+        # a plain serial resume sees nothing pending.
         assert study.pending() == []
         mirrored = (tmp_path / "study.jsonl").read_text().splitlines()
         assert len(mirrored) == len(records)

@@ -8,7 +8,6 @@ from repro.agent import autopilot_agent_factory, nn_agent_factory
 from repro.agent.ilcnn import ILCNN, ILCNNConfig
 from repro.core import (
     Campaign,
-    ParallelCampaignRunner,
     ProcessExecutor,
     SerialExecutor,
     episode_seed,
@@ -45,15 +44,15 @@ INJECTORS = {
 }
 
 
-def _runner(builder, scenarios, **kw):
-    return ParallelCampaignRunner(
+def _campaign(builder, scenarios, **kw):
+    return Campaign(
         scenarios, autopilot_agent_factory(), INJECTORS, builder=builder, **kw
     )
 
 
 class TestTaskGrid:
     def test_canonical_order_and_seeds(self, builder, scenarios):
-        runner = _runner(builder, scenarios, base_seed=3)
+        runner = _campaign(builder, scenarios, base_seed=3)
         tasks = runner.tasks()
         assert len(tasks) == runner.total_runs() == 6
         assert [t.index for t in tasks] == list(range(6))
@@ -63,7 +62,7 @@ class TestTaskGrid:
 
     def test_seed_formula_matches_serial_campaign(self, builder, scenarios):
         """Runner seeds must equal the historical Campaign formula."""
-        runner = _runner(builder, scenarios, base_seed=7)
+        runner = _campaign(builder, scenarios, base_seed=7)
         for task in runner.tasks():
             inj_idx = list(INJECTORS).index(task.injector)
             scn_idx = [s.name for s in scenarios].index(task.scenario.name)
@@ -71,9 +70,9 @@ class TestTaskGrid:
 
     def test_validation(self, builder, scenarios):
         with pytest.raises(ValueError):
-            ParallelCampaignRunner([], autopilot_agent_factory(), INJECTORS)
+            Campaign([], autopilot_agent_factory(), INJECTORS)
         with pytest.raises(ValueError):
-            ParallelCampaignRunner(scenarios, autopilot_agent_factory(), {})
+            Campaign(scenarios, autopilot_agent_factory(), {})
 
 
 class TestExecutorSelection:
@@ -105,7 +104,7 @@ class TestExecutorSelection:
         assert make_executor(ex, workers=8) is ex
 
     def test_process_chunking_covers_all_tasks(self, builder, scenarios):
-        runner = _runner(builder, scenarios)
+        runner = _campaign(builder, scenarios)
         tasks = runner.tasks()
         ex = ProcessExecutor(workers=2, chunksize=4)
         chunks = ex._chunks(tasks)
@@ -118,7 +117,7 @@ class TestPicklability:
     """Everything crossing the process boundary must pickle."""
 
     def test_context_roundtrip(self, builder, scenarios):
-        runner = _runner(builder, scenarios)
+        runner = _campaign(builder, scenarios)
         context = pickle.loads(pickle.dumps(runner.context()))
         record = execute_task(context, runner.tasks()[0])
         assert record.injector == "none"
@@ -142,8 +141,8 @@ class TestDeterminism:
         serial = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder
         ).run()
-        in_process = _runner(builder, scenarios, executor="serial").run()
-        pooled = _runner(builder, scenarios, workers=2, executor="process").run()
+        in_process = _campaign(builder, scenarios, executor="serial").run()
+        pooled = _campaign(builder, scenarios, workers=2, executor="process").run()
 
         serial_rows = [r.to_dict() for r in serial.records]
         assert [r.to_dict() for r in in_process.records] == serial_rows
@@ -180,7 +179,7 @@ class TestCliWiring:
 
 class TestWarmStart:
     def test_context_carries_deduplicated_town_configs(self, builder, scenarios):
-        runner = _runner(builder, scenarios)
+        runner = _campaign(builder, scenarios)
         context = runner.context()
         assert context.warm_configs == (TOWN,)
 
@@ -195,7 +194,7 @@ class TestWarmStart:
             with_lidar=False,
             scene_cache=cache,
         )
-        runner = ParallelCampaignRunner(
+        runner = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=warm_builder
         )
         _init_worker(runner.context())

@@ -1,11 +1,11 @@
-"""Tests for checkpointed resume of interrupted (parallel) studies."""
+"""Tests for checkpointed resume of interrupted (parallel) campaigns."""
 
 import json
 
 import pytest
 
 from repro.agent import autopilot_agent_factory
-from repro.core import ParallelCampaignRunner, Study, standard_scenarios
+from repro.core import Campaign, standard_scenarios
 from repro.core.faults import OutputDelay
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
@@ -75,14 +75,14 @@ class TestStudyResume:
         checkpoint = tmp_path / "study.jsonl"
 
         # Ground truth: an uninterrupted serial study of the same grid.
-        reference = Study(
+        reference = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS,
             checkpoint_path=tmp_path / "reference.jsonl", builder=builder,
-        ).run()
+        ).run().records
 
         # First attempt dies after 2 of 4 episodes (checkpoint written
         # before the kill lands, as a real mid-run SIGKILL would leave it).
-        interrupted = ParallelCampaignRunner(
+        interrupted = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             workers=2, executor="process", checkpoint_path=checkpoint,
             on_record=_kill_after(2),
@@ -92,14 +92,14 @@ class TestStudyResume:
         survived = _identities(checkpoint)
         assert len(survived) == 2
 
-        # Resume through the Study API with a parallel pool.
-        study = Study(
+        # Resume with a fresh campaign over a parallel pool.
+        study = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS,
-            checkpoint_path=checkpoint, builder=builder,
+            checkpoint_path=checkpoint, builder=builder, workers=2,
         )
-        assert len(study.records) == 2
+        assert len(study.grid_records()) == 2
         assert len(study.pending()) == 2
-        records = study.run(workers=2)
+        records = study.run().records
 
         identities = _identities(checkpoint)
         assert len(identities) == 4
@@ -114,14 +114,14 @@ class TestStudyResume:
         }
 
     def test_study_parallel_matches_serial(self, builder, scenarios, tmp_path):
-        serial = Study(
+        serial = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS,
             checkpoint_path=tmp_path / "serial.jsonl", builder=builder,
-        ).run()
-        parallel = Study(
+        ).run().records
+        parallel = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS,
-            checkpoint_path=tmp_path / "parallel.jsonl", builder=builder,
-        ).run(workers=2)
+            checkpoint_path=tmp_path / "parallel.jsonl", builder=builder, workers=2,
+        ).run().records
         key = lambda r: (r.injector, r.scenario, r.seed)
         assert {key(r): r.to_dict() for r in serial} == {
             key(r): r.to_dict() for r in parallel
@@ -134,41 +134,46 @@ class TestStudyResume:
         re-run AND stay out of the study's records/metrics — not both
         count and re-execute."""
         checkpoint = tmp_path / "prefp.jsonl"
-        done = Study(
+        done = Campaign(
             scenarios[:1], autopilot_agent_factory(), {"none": []},
             checkpoint_path=checkpoint, builder=builder,
-        ).run()
+        ).run().records
         # Strip the fingerprint, simulating a pre-fingerprint checkpoint.
         row = json.loads(checkpoint.read_text())
         del row["config_fingerprint"]
         checkpoint.write_text(json.dumps(row) + "\n")
 
-        study = Study(
+        study = Campaign(
             scenarios[:1], autopilot_agent_factory(), {"none": []},
-            checkpoint_path=checkpoint, builder=builder,
+            checkpoint_path=checkpoint, builder=builder, workers=2,
         )
-        assert study.records == []  # stale row is journal, not results
+        assert study.grid_records() == []  # stale row is journal, not results
         assert len(study.pending()) == 1
-        records = study.run(workers=2)
+        result = study.run()
+        records = result.records
         assert len(records) == 1
-        assert study.metrics()["none"].n_runs == 1
+        assert result.metrics()["none"].n_runs == 1
         assert records[0].to_dict() == done[0].to_dict()
 
     def test_rerun_without_checkpoint_does_not_reexecute(self, builder, scenarios):
-        study = Study(
-            scenarios[:1], autopilot_agent_factory(), {"none": []}, builder=builder
+        executed = []
+        study = Campaign(
+            scenarios[:1], autopilot_agent_factory(), {"none": []}, builder=builder,
+            on_record=lambda task, record: executed.append(task.index),
         )
-        first = study.run()
-        again = study.run()
+        first = study.run().records
+        assert study.pending() == []
+        again = study.run().records
         assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
         assert len(again) == 1
+        assert executed == [0], "the second run must execute nothing"
 
     def test_checkpoint_from_different_suite_never_matches(self, builder, scenarios, tmp_path):
         """Scenario names/seeds repeat across suites (scn-0…); the suite
         fingerprint must keep a stale checkpoint from masquerading as
         results for a different suite."""
         checkpoint = tmp_path / "stale.jsonl"
-        ParallelCampaignRunner(
+        Campaign(
             scenarios, autopilot_agent_factory(), {"none": []}, builder=builder,
             executor="serial", checkpoint_path=checkpoint,
         ).run()
@@ -176,7 +181,7 @@ class TestStudyResume:
         other_suite = standard_scenarios(
             2, seed=10, town_config=TOWN, min_distance=60, max_distance=160
         )
-        resumed = ParallelCampaignRunner(
+        resumed = Campaign(
             other_suite, autopilot_agent_factory(), {"none": []}, builder=builder,
             executor="serial", checkpoint_path=checkpoint,
         )
@@ -197,35 +202,35 @@ class TestStudyResume:
         model.set_training(False)
         checkpoint = tmp_path / "ml.jsonl"
 
-        study = Study(
+        study = Campaign(
             scenarios[:1], nn_agent_factory(model), {"bitflip": [WeightBitFlip()]},
             checkpoint_path=checkpoint, builder=builder,
         )
         study.run()
         assert study.pending() == [], "mutated fault must still match its record"
 
-        fresh = Study(
+        fresh = Campaign(
             scenarios[:1], nn_agent_factory(model), {"bitflip": [WeightBitFlip()]},
             checkpoint_path=checkpoint, builder=builder,
         )
-        assert len(fresh.records) == 1
+        assert len(fresh.grid_records()) == 1
         assert fresh.pending() == [], "pristine fault must match the checkpoint"
 
     def test_retuned_fault_params_invalidate_checkpoint(self, builder, scenarios, tmp_path):
         """Same injector name, different fault parameters: the config
         fingerprint must force a re-run instead of serving stale records."""
         checkpoint = tmp_path / "retuned.jsonl"
-        ParallelCampaignRunner(
+        Campaign(
             scenarios[:1], autopilot_agent_factory(), {"delay": [OutputDelay(8)]},
             builder=builder, executor="serial", checkpoint_path=checkpoint,
         ).run()
 
-        retuned = ParallelCampaignRunner(
+        retuned = Campaign(
             scenarios[:1], autopilot_agent_factory(), {"delay": [OutputDelay(30)]},
             builder=builder, executor="serial", checkpoint_path=checkpoint,
         )
         assert len(retuned.pending()) == 1, "retuned fault must not match old rows"
-        unchanged = ParallelCampaignRunner(
+        unchanged = Campaign(
             scenarios[:1], autopilot_agent_factory(), {"delay": [OutputDelay(8)]},
             builder=builder, executor="serial", checkpoint_path=checkpoint,
         )
@@ -235,14 +240,14 @@ class TestStudyResume:
         """A hard kill can cut the last JSONL append mid-line; resume must
         drop the fragment and re-run just that episode."""
         checkpoint = tmp_path / "truncated.jsonl"
-        full = ParallelCampaignRunner(
+        full = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             executor="serial", checkpoint_path=checkpoint,
         ).run()
         lines = checkpoint.read_text().splitlines()
         checkpoint.write_text("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
 
-        resumed = ParallelCampaignRunner(
+        resumed = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             executor="serial", checkpoint_path=checkpoint,
         )
@@ -254,7 +259,7 @@ class TestStudyResume:
         checkpoint = tmp_path / "corrupt.jsonl"
         checkpoint.write_text('{"not json\n{"also": "not a record"}\n')
         with pytest.raises(ValueError, match="corrupt checkpoint"):
-            ParallelCampaignRunner(
+            Campaign(
                 scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
                 checkpoint_path=checkpoint,
             )
@@ -264,7 +269,7 @@ class TestStudyResume:
         episodes are checkpointed, the error propagates, and a resume with
         the fault fixed only runs what's missing."""
         checkpoint = tmp_path / "explode.jsonl"
-        broken = ParallelCampaignRunner(
+        broken = Campaign(
             scenarios, _ExplodingFactory(scenarios[1]), INJECTORS, builder=builder,
             workers=2, executor="process", checkpoint_path=checkpoint,
         )
@@ -273,12 +278,16 @@ class TestStudyResume:
         survivors = _identities(checkpoint)
         assert survivors, "completed episodes must reach the checkpoint"
         assert all(scn != scenarios[1].name for _, scn, _ in survivors)
+        # ...and stay in the campaign that raised, so a retry on the same
+        # object only executes the remainder.
+        kept = [(r.injector, r.scenario, r.seed) for r in broken.grid_records()]
+        assert sorted(kept) == sorted(survivors)
 
-        reference = ParallelCampaignRunner(
+        reference = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             executor="serial",
         ).run()
-        resumed = ParallelCampaignRunner(
+        resumed = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             workers=2, executor="process", checkpoint_path=checkpoint,
         )
@@ -290,10 +299,10 @@ class TestStudyResume:
         assert len(set(_identities(checkpoint))) == 4
 
     def test_runner_resume_returns_full_grid_in_order(self, builder, scenarios, tmp_path):
-        """A resumed runner's result is grid-ordered regardless of which
+        """A resumed campaign's result is grid-ordered regardless of which
         rows came from the checkpoint and which ran fresh."""
         checkpoint = tmp_path / "grid.jsonl"
-        full = ParallelCampaignRunner(
+        full = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             executor="serial", checkpoint_path=checkpoint,
         ).run()
@@ -302,7 +311,7 @@ class TestStudyResume:
         lines = checkpoint.read_text().splitlines()
         checkpoint.write_text("\n".join(lines[1:3]) + "\n")
 
-        resumed = ParallelCampaignRunner(
+        resumed = Campaign(
             scenarios, autopilot_agent_factory(), INJECTORS, builder=builder,
             workers=2, executor="process", checkpoint_path=checkpoint,
         )

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.service as service_module
-from repro.core.campaign import Campaign
+from repro.core import Campaign
 from repro.core.service import CampaignService, Submission
 from repro.core.spec import CampaignSpec
 

@@ -34,8 +34,7 @@ from repro.agent.autopilot import ExpertConfig
 from repro.core import (
     Campaign,
     CampaignSpec,
-    ParallelCampaignRunner,
-    Study,
+    QueueExecutor,
     component_signature,
     load_spec,
     parse_spec,
@@ -460,22 +459,20 @@ class TestSpecValidation:
         spec = CampaignSpec(execution=ExecutionSpec(backend="queue"))
         with pytest.raises(ValueError, match="queue_dir"):
             Campaign.from_spec(spec)
-        with pytest.raises(ValueError, match="queue_dir"):
-            Study.from_spec(spec)
 
     def test_queue_dir_override_beats_pinned_backend(self, tmp_path):
         """--queue-dir must shard ANY archived spec, including one whose
         execution block pinned another backend."""
         spec = CampaignSpec(execution=ExecutionSpec(workers=2, backend="process"))
         campaign = Campaign.from_spec(spec, queue_dir=str(tmp_path / "q"))
-        assert campaign.backend == "queue"
-        assert campaign.queue_dir == str(tmp_path / "q")
+        assert isinstance(campaign.executor, QueueExecutor)
+        assert str(campaign.executor.queue_dir) == str(tmp_path / "q")
 
 
 class TestStudyFromSpecExecution:
     def test_study_run_defaults_to_spec_execution(self, builder, scenarios, tmp_path):
         """A spec declaring the queue backend must actually run through
-        the broker when studied — not silently fall back to serial."""
+        the broker — not silently fall back to serial."""
         queue_dir = tmp_path / "study-q"
         spec = CampaignSpec(
             scenarios=ScenarioSuiteSpec(
@@ -488,18 +485,16 @@ class TestStudyFromSpecExecution:
                 workers=1, backend="queue", queue_dir=str(queue_dir)
             ),
         )
-        study = Study.from_spec(spec)
-        records = study.run()
+        study = Campaign.from_spec(spec)
+        records = study.run().records
         assert len(records) == 1
         # Proof the broker was used: it archived the spec and checkpoint.
         assert (queue_dir / "spec.json").exists()
         assert (queue_dir / "results.jsonl").exists()
 
-    def test_study_run_honours_slot_and_parquet(
-        self, builder, tmp_path, monkeypatch
-    ):
+    def test_study_run_honours_slot_and_parquet(self, builder, tmp_path):
         """execution.episodes_per_slot and execution.parquet reach the
-        study's runner exactly as they reach Campaign.from_spec's."""
+        campaign's context, transport and sink."""
         spec = CampaignSpec(
             scenarios=ScenarioSuiteSpec(
                 n=1, seed=9, town=TOWN, min_distance=60.0, max_distance=160.0
@@ -513,14 +508,10 @@ class TestStudyFromSpecExecution:
                 parquet=str(tmp_path / "x.parquet"),
             ),
         )
-        runners = []
-        monkeypatch.setattr(ParallelCampaignRunner, "run", lambda self: runners.append(self))
-        Study.from_spec(spec).run()
-        campaign_runner = Campaign.from_spec(spec).runner()
-        for runner in (runners[0], campaign_runner):
-            assert runner.context().episodes_per_slot == 2
-            assert runner.executor.episodes_per_slot == 2
-            assert runner.parquet_path == tmp_path / "x.parquet"
+        campaign = Campaign.from_spec(spec)
+        assert campaign.context().episodes_per_slot == 2
+        assert campaign.executor.episodes_per_slot == 2
+        assert campaign.parquet_path == tmp_path / "x.parquet"
 
 
 class TestSpecExecutionEquivalence:
@@ -582,11 +573,11 @@ class TestSpecExecutionEquivalence:
     def test_spec_round_trip_does_not_change_fingerprints(self, builder):
         spec = self.make_spec(builder)
         reloaded = parse_spec(json.dumps(spec.to_dict()))
-        tasks_a = ParallelCampaignRunner(
+        tasks_a = Campaign(
             spec.scenarios.build(), spec.agent.build(), spec.injectors,
             builder=spec.build_builder(),
         ).tasks()
-        tasks_b = ParallelCampaignRunner(
+        tasks_b = Campaign(
             reloaded.scenarios.build(), reloaded.agent.build(), reloaded.injectors,
             builder=reloaded.build_builder(),
         ).tasks()
@@ -598,7 +589,7 @@ class TestComponentFingerprintInvalidation:
     silently matching the old checkpoint (acceptance criterion)."""
 
     def run_study(self, spec, checkpoint):
-        study = Study.from_spec(spec, checkpoint_path=checkpoint)
+        study = Campaign.from_spec(spec, checkpoint_path=checkpoint)
         study.run()
         return study
 
@@ -617,12 +608,12 @@ class TestComponentFingerprintInvalidation:
         spec = self.base_spec(builder)
         self.run_study(spec, checkpoint)
 
-        unchanged = Study.from_spec(spec, checkpoint_path=checkpoint)
+        unchanged = Campaign.from_spec(spec, checkpoint_path=checkpoint)
         assert unchanged.pending() == []
 
         retuned = self.base_spec(builder)
         retuned.agent = AgentSpec("autopilot", {"cruise_speed": 5.0})
-        stale = Study.from_spec(retuned, checkpoint_path=checkpoint)
+        stale = Campaign.from_spec(retuned, checkpoint_path=checkpoint)
         assert len(stale.pending()) == 1, "agent change must re-run episodes"
 
     def test_builder_change_invalidates_checkpoint(self, builder, tmp_path):
@@ -633,7 +624,7 @@ class TestComponentFingerprintInvalidation:
         rebuilt = self.base_spec(
             SimulationBuilder(camera=CameraModel(width=24, height=16), with_lidar=True)
         )
-        stale = Study.from_spec(rebuilt, checkpoint_path=checkpoint)
+        stale = Campaign.from_spec(rebuilt, checkpoint_path=checkpoint)
         assert len(stale.pending()) == 1, "builder change must re-run episodes"
 
 
@@ -663,19 +654,13 @@ class TestGoldenSpecFiles:
         dependence anywhere in the identity chain."""
         spec = load_spec(SPEC_DIR / "smoke.json")
         campaign = Campaign.from_spec(spec)
-        runner = ParallelCampaignRunner(
-            campaign.scenarios, campaign.agent_factory, campaign.injectors,
-            builder=campaign.builder,
-        )
-        local = [spec.hash()] + [t.fingerprint for t in runner.tasks()]
+        local = [spec.hash()] + [t.fingerprint for t in campaign.tasks()]
         script = (
             "import json\n"
-            "from repro.core import Campaign, ParallelCampaignRunner, load_spec\n"
+            "from repro.core import Campaign, load_spec\n"
             f"spec = load_spec({str(SPEC_DIR / 'smoke.json')!r})\n"
             "c = Campaign.from_spec(spec)\n"
-            "r = ParallelCampaignRunner(c.scenarios, c.agent_factory, c.injectors,"
-            " builder=c.builder)\n"
-            "print(json.dumps([spec.hash()] + [t.fingerprint for t in r.tasks()]))\n"
+            "print(json.dumps([spec.hash()] + [t.fingerprint for t in c.tasks()]))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
@@ -724,6 +709,34 @@ class TestSpecCli:
         out = capsys.readouterr().out
         assert "spec: smoke" in out
         assert "delay-10" in out and "MSR_%" in out
+
+    def test_run_shows_quarantined_episodes(self, tmp_path, monkeypatch, capsys):
+        """Under a failure budget a quarantined episode stays visible:
+        its injector keeps a metrics row (no runs, one lost) and the
+        quarantine table lists it, as `avfi report` does."""
+        from repro.cli import main
+        from repro.core.chaos import CrashFault
+
+        # Chaos fixtures are deliberately not in the fault registry, so
+        # the crashing spec cannot round-trip through a file: hand the
+        # live spec to the CLI instead.
+        spec = load_spec(SPEC_DIR / "smoke.json")
+        spec.injectors = {"none": [], "crash": [CrashFault()]}
+        monkeypatch.setattr("repro.core.spec.load_spec", lambda path: spec)
+        assert main(["run", str(SPEC_DIR / "smoke.json"), "--failure-budget", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if "MSR_%" in line)
+        assert lines[header].split()[:3] == ["injector", "runs", "lost"]
+        table = {}
+        for line in lines[header + 2 :]:
+            if not line.strip():
+                break
+            cells = line.split()
+            table[cells[0]] = cells[1:3]
+        assert table["none"][0] == "1"
+        assert table["crash"] == ["0", "1"], "a wholly quarantined injector keeps its row"
+        quarantine = next(i for i, line in enumerate(lines) if "quarantined episodes" in line)
+        assert any(line.split()[:1] == ["crash"] for line in lines[quarantine:])
 
     def test_run_rejects_missing_spec(self, tmp_path, capsys):
         from repro.cli import main
