@@ -26,8 +26,11 @@ python -m pytest -x -q
 
 echo "== perfbench: the benchmark's own tests =="
 # perfbench/ sits outside tier-1's testpaths.  Its tracer wraps
-# Renderer.render, Lidar2D.read and SensorSuite.read_frame by name, so
-# this catches a rename or removal that would break the traced run.
+# Renderer.render, Lidar2D.read and SensorSuite.read_frame by name, and
+# on the broker and worker side BrokerServer.dispatch, TcpBroker._call,
+# TcpBroker.claim, TcpBroker.load_context and queue._drain (inherited
+# methods count), so this catches a rename or removal that would break
+# the traced run.
 python -m pytest perfbench -q
 
 echo "== smoke: declarative spec campaign (avfi run) =="

@@ -9,10 +9,10 @@ ROADMAP called for:
 * :class:`ArtifactStore` — a flat content-addressed blob store
   (``root/<sha[:2]>/<sha>``).  Writes are atomic (temp + rename) and
   idempotent: the same key is only ever the same bytes, so concurrent
-  puts of one artifact are harmless.  Both broker flavours expose it —
-  ``FilesystemBroker.artifact_put/get/has`` on the shared directory, the
-  same three ops over TCP frames — so whatever queue a worker already
-  talks to is also its artifact source.
+  puts of one artifact are harmless.  Every broker exposes it through
+  the typed ``Broker.artifact_put/get/has`` — in-process on a shared
+  directory, one TCP frame each against a broker server — so whatever
+  queue a worker already talks to is also its artifact source.
 * :class:`ArtifactNNAgentFactory` — a picklable stand-in for
   :class:`~repro.agent.agents.NNAgentFactory` that carries only the
   weight digest and a broker location.  Workers fetch the ``.npz`` blob

@@ -10,14 +10,15 @@ second queue implementation:
   wrapping one ``FilesystemBroker`` state directory.  Every request is a
   single length-prefixed JSON frame (4-byte big-endian length + UTF-8
   JSON body; binary payloads travel base64-encoded inside the JSON);
-  every response is one frame back.  The server only ever moves opaque
-  blobs between the broker's directories via the blob-level primitives
-  (:meth:`~repro.core.queue.FilesystemBroker.publish_blobs`,
-  :meth:`~repro.core.queue.FilesystemBroker.claim_blob`, …) — it never
-  unpickles anything a client sent.
-* :class:`TcpBroker` — the client, implementing the same
-  :class:`~repro.core.queue.Broker` surface the filesystem broker
-  exposes, so :class:`~repro.core.queue.QueueExecutor`,
+  every response is one frame back.  Each frame names one op of the
+  broker's op table and carries its args, and the server hands it to
+  the broker's ``_call`` — the same ``op_<name>`` methods a local
+  caller runs, with the same checks.  No op unpickles anything a
+  client sent: task and context blobs stay opaque.
+* :class:`TcpBroker` — the client: transport only (connect, retry with
+  backoff, :class:`~repro.core.chaos.NetworkChaos`).  It inherits the
+  typed :class:`~repro.core.queue.Broker` surface, so
+  :class:`~repro.core.queue.QueueExecutor`,
   :func:`~repro.core.queue.run_worker` (``avfi worker``) and
   ``avfi queue-status`` work unchanged against ``tcp://host:port``.
 * :func:`make_broker` — URL dispatch: a ``tcp://host:port`` string
@@ -47,25 +48,25 @@ boundary a shared NFS queue directory already implies.
 
 from __future__ import annotations
 
-import base64
 import json
-import os
-import pickle
-import re
 import socket
 import socketserver
 import struct
 import threading
 import time
-import traceback
 from pathlib import Path
-from typing import Sequence
 from urllib.parse import urlsplit
 
-from .campaign import RunRecord
-from .outcomes import EpisodeFailure
-from .queue import Claim, FilesystemBroker
-from .runner import CampaignContext, EpisodeTask
+# The name patterns are re-exported: they belong to the op table in
+# queue.py, and callers know them from here.
+from .queue import (  # noqa: F401
+    _TASK_NAME_RE,
+    _WORKER_ID_RE,
+    Broker,
+    BrokerError,
+    FilesystemBroker,
+    check_lease_s,
+)
 
 __all__ = [
     "BrokerError",
@@ -75,9 +76,6 @@ __all__ = [
     "is_broker_url",
     "make_broker",
 ]
-
-#: Wire protocol version, exchanged via the ``ping`` op.
-PROTOCOL_VERSION = 1
 
 #: Hard ceiling on one frame (a campaign context with NN weights is the
 #: largest legitimate payload); anything bigger is a corrupt length
@@ -90,39 +88,6 @@ _HEADER = struct.Struct(">I")
 class FrameError(ConnectionError):
     """A frame could not be read: torn mid-transfer, or an implausible
     length prefix (stream desync / corruption)."""
-
-
-class BrokerError(RuntimeError):
-    """The server executed the request and reported a failure — a real
-    application error, never retried (unlike transport errors)."""
-
-
-#: The exact shape :meth:`FilesystemBroker._task_filename` mints.
-_TASK_NAME_RE = re.compile(r"^\d{5}_[0-9a-f]{12}\.task$")
-_WORKER_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._:-]{0,127}$")
-
-
-def _check_task_name(name) -> str:
-    """Wire-supplied task names become path components under the broker
-    root (``tasks/<name>``, ``claimed/<name>``, ``leases/<stem>.json``,
-    ``failed/<name>.error.json``) — accept only names the broker itself
-    mints (:meth:`FilesystemBroker._task_filename`), so a hostile frame
-    cannot smuggle ``../`` traversal into a server-side write or unlink,
-    the same guard :func:`~repro.core.artifacts._check_sha` applies to
-    artifact digests."""
-    if not isinstance(name, str) or not _TASK_NAME_RE.fullmatch(name):
-        raise BrokerError(
-            f"invalid task name {name!r} (want NNNNN_<12 hex chars>.task)"
-        )
-    return name
-
-
-def _check_worker_id(worker_id) -> str:
-    """Worker ids name liveness files (``workers/<id>.json``) — same
-    path-component exposure as task names, same server-side rejection."""
-    if not isinstance(worker_id, str) or not _WORKER_ID_RE.fullmatch(worker_id):
-        raise BrokerError(f"invalid worker id {worker_id!r}")
-    return worker_id
 
 
 def encode_frame(obj: dict) -> bytes:
@@ -165,14 +130,6 @@ def recv_frame(sock: socket.socket) -> dict | None:
         return json.loads(body)
     except ValueError as exc:  # JSONDecodeError, or invalid UTF-8
         raise FrameError(f"frame body is not valid JSON: {exc}") from exc
-
-
-def _b64(blob: bytes) -> str:
-    return base64.b64encode(blob).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
 
 
 # ----------------------------------------------------------------------
@@ -314,153 +271,8 @@ class BrokerServer(socketserver.ThreadingTCPServer):
     # -- dispatch ------------------------------------------------------
 
     def dispatch(self, frame: dict) -> object:
-        op = frame.get("op")
-        handler = self._OPS.get(op)
-        if handler is None:
-            raise BrokerError(f"unknown broker op {op!r}")
-        return handler(self, frame.get("args") or {})
-
-    def _op_ping(self, args: dict) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-        }
-
-    def _op_publish(self, args: dict) -> None:
-        named = [
-            (_check_task_name(name), _unb64(blob)) for name, blob in args["tasks"]
-        ]
-        self.broker.publish_blobs(
-            _unb64(args["context"]), named, spec=args.get("spec")
-        )
-
-    def _op_context(self, args: dict) -> str | None:
-        blob = self.broker.context_blob()
-        return None if blob is None else _b64(blob)
-
-    def _op_claim(self, args: dict) -> dict | None:
-        claimed = self.broker.claim_blob(
-            _check_worker_id(args["worker_id"]), args.get("lease_s")
-        )
-        if claimed is None:
-            return None
-        name, blob, lease_s = claimed
-        return {"name": name, "task": _b64(blob), "lease_s": lease_s}
-
-    def _op_heartbeat(self, args: dict) -> None:
-        # Server-stamped: the lease's heartbeat_at is written with this
-        # machine's clock, so worker skew cannot fake or hide an expiry.
-        self.broker._write_lease(
-            _check_task_name(args["name"]),
-            args["worker_id"],
-            float(args["lease_s"]),
-        )
-
-    def _op_release(self, args: dict) -> bool:
-        return self.broker.release_raw(_check_task_name(args["name"]))
-
-    def _op_fail(self, args: dict) -> None:
-        self.broker.fail_raw(
-            _check_task_name(args["name"]),
-            args.get("worker_id", "?"),
-            error=args.get("error", ""),
-            traceback_text=args.get("traceback", ""),
-            failure=args.get("failure"),
-        )
-
-    def _op_requeue_expired(self, args: dict) -> list[str]:
-        return self.broker.requeue_expired()
-
-    def _op_requeue_failed(self, args: dict) -> list[str]:
-        return self.broker.requeue_failed()
-
-    def _op_quarantine(self, args: dict) -> None:
-        self.broker.quarantine(_check_task_name(args["name"]))
-
-    def _op_append_row(self, args: dict) -> None:
-        self.broker.append_row(args["row"])
-
-    def _op_read_results(self, args: dict) -> dict:
-        offset, records = self.broker.read_results(int(args.get("offset", 0)))
-        return {"offset": offset, "rows": [r.to_dict() for r in records]}
-
-    def _op_checkpoint_rows(self, args: dict) -> dict:
-        records, failures = self.broker.checkpoint_rows()
-        return {
-            "records": [r.to_dict() for r in records],
-            "failures": [f.to_dict() for f in failures],
-        }
-
-    def _op_repair_results(self, args: dict) -> int:
-        return self.broker.repair_results()
-
-    def _op_failures(self, args: dict) -> list[dict]:
-        return self.broker.failures()
-
-    def _op_manifest(self, args: dict) -> dict | None:
-        return self.broker.manifest()
-
-    def _op_status(self, args: dict) -> dict:
-        return self.broker.status()
-
-    def _op_heartbeat_worker(self, args: dict) -> None:
-        self.broker.heartbeat_worker(
-            _check_worker_id(args["worker_id"]),
-            int(args.get("done", 0)),
-            host=args.get("host"),
-            pid=args.get("pid"),
-        )
-
-    def _op_workers(self, args: dict) -> list[dict]:
-        return self.broker.workers()
-
-    def _op_is_idle(self, args: dict) -> bool:
-        return self.broker.is_idle()
-
-    def _op_live_leases(self, args: dict) -> int:
-        return self.broker.live_leases()
-
-    def _op_claimed_names(self, args: dict) -> list[str]:
-        return self.broker.claimed_names()
-
-    def _op_artifact_put(self, args: dict) -> str:
-        return self.broker.artifact_put(args["sha"], _unb64(args["blob"]))
-
-    def _op_artifact_get(self, args: dict) -> str | None:
-        blob = self.broker.artifact_get(args["sha"])
-        return None if blob is None else _b64(blob)
-
-    def _op_artifact_has(self, args: dict) -> bool:
-        return self.broker.artifact_has(args["sha"])
-
-    _OPS = {
-        "ping": _op_ping,
-        "publish": _op_publish,
-        "context": _op_context,
-        "claim": _op_claim,
-        "heartbeat": _op_heartbeat,
-        "release": _op_release,
-        "fail": _op_fail,
-        "requeue_expired": _op_requeue_expired,
-        "requeue_failed": _op_requeue_failed,
-        "quarantine": _op_quarantine,
-        "append_row": _op_append_row,
-        "read_results": _op_read_results,
-        "checkpoint_rows": _op_checkpoint_rows,
-        "repair_results": _op_repair_results,
-        "failures": _op_failures,
-        "manifest": _op_manifest,
-        "status": _op_status,
-        "heartbeat_worker": _op_heartbeat_worker,
-        "workers": _op_workers,
-        "is_idle": _op_is_idle,
-        "live_leases": _op_live_leases,
-        "claimed_names": _op_claimed_names,
-        "artifact_put": _op_artifact_put,
-        "artifact_get": _op_artifact_get,
-        "artifact_has": _op_artifact_has,
-    }
+        """Run one request frame's op on the served broker."""
+        return self.broker._call(frame.get("op"), frame.get("args") or {})
 
 
 # ----------------------------------------------------------------------
@@ -468,10 +280,9 @@ class BrokerServer(socketserver.ThreadingTCPServer):
 # ----------------------------------------------------------------------
 
 
-class TcpBroker:
-    """The network client side of the :class:`~repro.core.queue.Broker`
-    protocol: every method is one request/response frame against a
-    :class:`BrokerServer`.
+class TcpBroker(Broker):
+    """The network :class:`~repro.core.queue.Broker`: every op is one
+    request/response frame against a :class:`BrokerServer`.
 
     Transport errors (dropped connection, torn frame, timeout) reconnect
     and retry with exponential backoff — delivery is at-least-once, and
@@ -503,7 +314,7 @@ class TcpBroker:
     ):
         self.host = host
         self.port = int(port)
-        self.lease_s = float(lease_s)
+        self.lease_s = check_lease_s(lease_s)
         self.timeout_s = float(timeout_s)
         self.retries = int(retries)
         self.retry_backoff_s = float(retry_backoff_s)
@@ -553,9 +364,6 @@ class TcpBroker:
     def close(self) -> None:
         with self._lock:
             self._drop_connection()
-
-    def ping(self) -> dict:
-        return self._call("ping")
 
     def _call(self, op: str, args: dict | None = None):
         frame = encode_frame({"op": op, "args": args or {}})
@@ -617,190 +425,3 @@ class TcpBroker:
             finally:
                 self._drop_connection()
             raise FrameError("chaos: partial frame sent")
-
-    # -- Broker protocol: coordinator side -----------------------------
-
-    def publish(
-        self,
-        context: CampaignContext,
-        tasks: Sequence[EpisodeTask],
-        spec: dict | None = None,
-    ) -> None:
-        named = [
-            [FilesystemBroker._task_filename(task), _b64(pickle.dumps(task))]
-            for task in tasks
-        ]
-        self._call(
-            "publish",
-            {"context": _b64(pickle.dumps(context)), "tasks": named, "spec": spec},
-        )
-
-    def manifest(self) -> dict | None:
-        return self._call("manifest")
-
-    def status(self) -> dict:
-        return self._call("status")
-
-    def failures(self) -> list[dict]:
-        return self._call("failures")
-
-    def requeue_expired(self) -> list[str]:
-        return self._call("requeue_expired")
-
-    def requeue_failed(self) -> list[str]:
-        return self._call("requeue_failed")
-
-    # Backwards-compatible alias, mirroring FilesystemBroker.
-    recover_failed = requeue_failed
-
-    def quarantine(self, name: str) -> None:
-        self._call("quarantine", {"name": name})
-
-    def live_leases(self) -> int:
-        return self._call("live_leases")
-
-    def is_idle(self) -> bool:
-        return self._call("is_idle")
-
-    def claimed_names(self) -> list[str]:
-        return self._call("claimed_names")
-
-    def workers(self) -> list[dict]:
-        return self._call("workers")
-
-    # -- Broker protocol: worker side ----------------------------------
-
-    def ensure_layout(self) -> None:
-        """The server laid out its state directory at startup."""
-
-    def repair_results(self) -> int:
-        return self._call("repair_results")
-
-    def context_blob(self) -> bytes | None:
-        blob = self._call("context")
-        return None if blob is None else _unb64(blob)
-
-    def load_context(self, timeout_s: float = 0.0) -> CampaignContext | None:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            blob = self.context_blob()
-            if blob is not None:
-                return pickle.loads(blob)
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(0.1)
-
-    def claim(self, worker_id: str, lease_s: float | None = None) -> Claim | None:
-        result = self._call("claim", {"worker_id": worker_id, "lease_s": lease_s})
-        if result is None:
-            return None
-        return Claim(
-            name=result["name"],
-            task=pickle.loads(_unb64(result["task"])),
-            worker_id=worker_id,
-            lease_s=float(result["lease_s"]),
-        )
-
-    def heartbeat(self, claim: Claim) -> None:
-        self._call(
-            "heartbeat",
-            {
-                "name": claim.name,
-                "worker_id": claim.worker_id,
-                "lease_s": claim.lease_s,
-            },
-        )
-
-    def release(self, claim: Claim) -> bool:
-        return bool(self._call("release", {"name": claim.name}))
-
-    def fail(
-        self,
-        claim: Claim,
-        error: BaseException | None = None,
-        failure: EpisodeFailure | None = None,
-    ) -> None:
-        if error is None and failure is not None:
-            error = failure.exception
-        tb_text = failure.traceback_text if failure is not None else ""
-        self._call(
-            "fail",
-            {
-                "name": claim.name,
-                "worker_id": claim.worker_id,
-                "error": repr(error) if error is not None else (
-                    failure.error if failure is not None else ""
-                ),
-                # Rendered worker-side: the exception context lives here,
-                # not on the server.
-                "traceback": tb_text or traceback.format_exc(),
-                "failure": failure.to_dict() if failure is not None else None,
-            },
-        )
-
-    def heartbeat_worker(self, worker_id: str, done: int) -> None:
-        self._call(
-            "heartbeat_worker",
-            {
-                "worker_id": worker_id,
-                "done": int(done),
-                "host": socket.gethostname(),
-                "pid": os.getpid(),
-            },
-        )
-
-    # -- results -------------------------------------------------------
-
-    def append_result(self, record: RunRecord) -> None:
-        self._call("append_row", {"row": record.to_dict()})
-
-    def append_failure(self, failure: EpisodeFailure) -> None:
-        self._call("append_row", {"row": failure.to_dict()})
-
-    def read_results(self, offset: int) -> tuple[int, list[RunRecord]]:
-        result = self._call("read_results", {"offset": int(offset)})
-        records = []
-        for row in result["rows"]:
-            try:
-                records.append(RunRecord(**row))
-            except TypeError:
-                continue  # foreign schema from a different server build
-        return int(result["offset"]), records
-
-    def checkpoint_rows(self) -> tuple[list[RunRecord], list[EpisodeFailure]]:
-        result = self._call("checkpoint_rows")
-        records = []
-        for row in result["records"]:
-            try:
-                records.append(RunRecord(**row))
-            except TypeError:
-                continue
-        failures = []
-        for row in result["failures"]:
-            try:
-                failures.append(EpisodeFailure.from_dict(row))
-            except (TypeError, KeyError, ValueError):
-                continue
-        return records, failures
-
-    def result_identities(self) -> set[tuple[str, str, int, str]]:
-        """Settled identities — records and quarantine rows alike,
-        mirroring :meth:`FilesystemBroker.result_identities`."""
-        from .runner import record_identity
-
-        records, failures = self.checkpoint_rows()
-        return {record_identity(r) for r in records} | {
-            record_identity(f) for f in failures
-        }
-
-    # -- artifacts -----------------------------------------------------
-
-    def artifact_put(self, sha: str, blob: bytes) -> str:
-        return self._call("artifact_put", {"sha": sha, "blob": _b64(blob)})
-
-    def artifact_get(self, sha: str) -> bytes | None:
-        blob = self._call("artifact_get", {"sha": sha})
-        return None if blob is None else _unb64(blob)
-
-    def artifact_has(self, sha: str) -> bool:
-        return bool(self._call("artifact_has", {"sha": sha}))

@@ -21,25 +21,28 @@ a *broker* that hands tasks to whichever workers are attached:
   the coordinator), so the campaign completes as long as *one* worker
   survives.
 
-The reference broker is :class:`FilesystemBroker`: a shared directory
-(local disk for same-machine workers, NFS or similar for a cluster).
-Claims are atomic ``rename(2)`` moves, appends are single ``O_APPEND``
-writes (see :func:`~repro.core.runner.append_jsonl_line`), and every
-mutation is a file operation — no server process to operate.  The layout
-is deliberately small and enumerable so a redis-style backend can
-implement the same :class:`Broker` protocol later:
+:class:`Broker` is the typed surface every caller uses, written once:
+each method pickles or parses at most, then runs one protocol op through
+``_call(op, args)`` with JSON-able args.  The reference backend is
+:class:`FilesystemBroker`, whose ``op_<name>`` methods are the op table:
+a shared directory (local disk for same-machine workers, NFS or similar
+for a cluster).  Claims are atomic ``rename(2)`` moves, appends are
+single ``O_APPEND`` writes (see :func:`~repro.core.runner.append_jsonl_line`),
+and every mutation is a file operation — no server process to operate:
 
 .. code-block:: text
 
     queue_dir/
       manifest.json     # campaign metadata (task count, lease, created_at)
       context.pkl       # pickled CampaignContext (builder, agent, faults)
+      spec.json         # the archived CampaignSpec, when there is one
       tasks/NNNNN_x.task     # pending EpisodeTask pickles (claim = rename away)
       claimed/NNNNN_x.task   # tasks currently leased to a worker
       leases/NNNNN_x.json    # the lease: worker id + heartbeat timestamp
       failed/NNNNN_x.task(.error.json)  # tasks whose execution raised
       quarantined/NNNNN_x.task(.error.json)  # poison tasks given up within budget
       workers/<worker>.json  # per-worker liveness heartbeats (observability)
+      artifacts/<sha[:2]>/<sha>  # content-addressed blobs (NN weights)
       results.jsonl     # THE checkpoint: completed records + quarantine rows
 
 Exactly-once is enforced at the *results* layer, not the queue layer: a
@@ -62,27 +65,31 @@ the broker server stamps every heartbeat with its own clock.
 
 Brokers other than the filesystem one are resolved by
 :func:`~repro.core.netqueue.make_broker` — ``"tcp://host:port"``
-selects a :class:`~repro.core.netqueue.TcpBroker` speaking
-length-prefixed JSON frames to an ``avfi serve`` (or
-:class:`~repro.core.netqueue.BrokerServer`) endpoint, and everything in
-this module (:func:`run_worker`, :class:`QueueExecutor`,
-``avfi queue-status``) accepts such a URL wherever it accepts a queue
-directory.
+selects a :class:`~repro.core.netqueue.TcpBroker`, which sends each op
+as one length-prefixed JSON frame to an ``avfi serve`` (or
+:class:`~repro.core.netqueue.BrokerServer`) endpoint that runs it on its
+own ``FilesystemBroker``.  Everything in this module
+(:func:`run_worker`, :class:`QueueExecutor`, ``avfi queue-status``)
+accepts such a URL wherever it accepts a queue directory.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
+import numbers
 import os
 import pickle
+import re
 import socket
 import threading
 import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterator, Sequence
 
 from contextlib import ExitStack
 
@@ -95,17 +102,93 @@ from .runner import (
     _init_worker,
     append_jsonl_line,
     context_policy,
+    load_checkpoint_rows,
     record_identity,
     repair_jsonl_tail,
 )
 
 __all__ = [
     "Broker",
+    "BrokerError",
     "Claim",
     "FilesystemBroker",
     "QueueExecutor",
+    "check_lease_s",
     "run_worker",
 ]
+
+#: Wire protocol version, reported by the ``ping`` op.
+PROTOCOL_VERSION = 1
+
+
+class BrokerError(RuntimeError):
+    """The broker refused or failed an op — a real application error,
+    never retried (unlike transport errors)."""
+
+
+#: The exact shape :meth:`Broker._task_filename` mints.
+_TASK_NAME_RE = re.compile(r"^\d{5}_[0-9a-f]{12}\.task$")
+_WORKER_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._:-]{0,127}$")
+
+
+def _check_task_name(name) -> str:
+    """Task names become path components under the broker root
+    (``tasks/<name>``, ``claimed/<name>``, ``leases/<stem>.json``,
+    ``failed/<name>.error.json``) — accept only names the broker itself
+    mints (:meth:`Broker._task_filename`), so a hostile frame cannot
+    smuggle ``../`` traversal into a write or unlink, the same guard
+    :func:`~repro.core.artifacts._check_sha` applies to artifact
+    digests."""
+    if not isinstance(name, str) or not _TASK_NAME_RE.fullmatch(name):
+        raise BrokerError(
+            f"invalid task name {name!r} (want NNNNN_<12 hex chars>.task)"
+        )
+    return name
+
+
+def _check_worker_id(worker_id) -> str:
+    """Worker ids name liveness files (``workers/<id>.json``) — same
+    path-component exposure as task names, same rejection."""
+    if not isinstance(worker_id, str) or not _WORKER_ID_RE.fullmatch(worker_id):
+        raise BrokerError(f"invalid worker id {worker_id!r}")
+    return worker_id
+
+
+def check_lease_s(lease_s) -> float:
+    """A lease duration as a float, if it is finite and > 0.
+
+    An infinite or NaN lease never expires, so the task of a worker that
+    dies under it never returns to the queue; a non-positive one expires
+    the moment it is written.  Raises ``ValueError`` for both."""
+    if (
+        isinstance(lease_s, bool)
+        or not isinstance(lease_s, numbers.Real)
+        or not math.isfinite(lease_s)
+        or lease_s <= 0
+    ):
+        raise ValueError(f"lease_s must be a finite number > 0, got {lease_s!r}")
+    return float(lease_s)
+
+
+def _b64(blob: bytes) -> str:
+    return base64.b64encode(blob).decode("ascii")
+
+
+def _unb64(text: str) -> bytes:
+    return base64.b64decode(text.encode("ascii"))
+
+
+def _parse_rows(rows, build) -> list:
+    """``build(row)`` for every row that fits; a row of a foreign schema
+    (another repro build sharing the checkpoint) is skipped — it could
+    never match a grid identity anyway."""
+    out = []
+    for row in rows:
+        try:
+            out.append(build(row))
+        except (TypeError, KeyError, ValueError):
+            continue
+    return out
 
 
 @dataclass
@@ -118,36 +201,146 @@ class Claim:
     lease_s: float
 
 
-class Broker(Protocol):
-    """What a queue backend must provide (filesystem today, redis later).
+class Broker:
+    """The typed queue surface, shared by every backend.
 
     The coordinator calls :meth:`publish`, :meth:`read_results`,
     :meth:`requeue_expired` and :meth:`failures`; workers call
     :meth:`load_context`, :meth:`claim`, :meth:`heartbeat`,
     :meth:`append_result`, :meth:`release`/:meth:`fail` and
-    :meth:`requeue_expired`.  All methods must be safe under concurrent
-    callers on different machines.
+    :meth:`requeue_expired`.  Each method is one protocol op run through
+    :meth:`_call` — pickling, :class:`Claim` building and row parsing
+    happen here, on the caller's side, so whatever executes the op never
+    unpickles anything.  A backend provides ``_call``:
+    :class:`FilesystemBroker` runs the op in-process,
+    :class:`~repro.core.netqueue.TcpBroker` sends it to a
+    :class:`~repro.core.netqueue.BrokerServer`.  All ops must be safe
+    under concurrent callers on different machines.
     """
 
-    def publish(self, context: CampaignContext, tasks: Sequence[EpisodeTask]) -> None:
-        """Make the campaign context and pending tasks claimable."""
-        ...
+    lease_s: float
+
+    def _call(self, op: str, args: dict | None = None):
+        """Run protocol op ``op`` with its JSON-able ``args``; returns
+        the op's JSON-able result."""
+        raise NotImplementedError
+
+    def ensure_layout(self) -> None:
+        """Create the backing store (a no-op where a server owns it)."""
+
+    @staticmethod
+    def _task_filename(task: EpisodeTask) -> str:
+        # Grid index first so workers drain in roughly canonical order;
+        # an identity digest after it so files are unique even if two
+        # campaigns (accidentally) share a directory across resumes.
+        digest = hashlib.sha1(repr(task.identity()).encode()).hexdigest()[:12]
+        return f"{task.index:05d}_{digest}.task"
+
+    def ping(self) -> dict:
+        return self._call("ping")
+
+    # -- coordinator side ----------------------------------------------
+
+    def publish(
+        self,
+        context: CampaignContext,
+        tasks: Sequence[EpisodeTask],
+        spec: dict | None = None,
+    ) -> None:
+        """Make the campaign context and pending tasks claimable (see
+        :meth:`FilesystemBroker.op_publish` for re-publish semantics).
+        ``spec`` is a serialised :class:`~repro.core.spec.CampaignSpec`
+        to archive beside the context."""
+        named = [[self._task_filename(t), _b64(pickle.dumps(t))] for t in tasks]
+        self._call(
+            "publish",
+            {"context": _b64(pickle.dumps(context)), "tasks": named, "spec": spec},
+        )
+
+    def manifest(self) -> dict | None:
+        """The published campaign manifest, or ``None`` before publish."""
+        return self._call("manifest")
+
+    def status(self) -> dict:
+        """Queue counts, for logging and doctors."""
+        return self._call("status")
+
+    def failures(self) -> list[dict]:
+        """Error reports of failed tasks (empty when all is well)."""
+        return self._call("failures")
+
+    def requeue_expired(self) -> list[str]:
+        """Return expired claims to the pending queue; list what moved."""
+        return self._call("requeue_expired")
+
+    def requeue_failed(self) -> list[str]:
+        """Move failed tasks back to pending (retry after a fix)."""
+        return self._call("requeue_failed")
+
+    def quarantine(self, name: str) -> None:
+        """Retire a parked failed task for good (coordinator decision)."""
+        self._call("quarantine", {"name": name})
+
+    def live_leases(self) -> int:
+        """Claims whose lease has not (yet) expired."""
+        return self._call("live_leases")
+
+    def is_idle(self) -> bool:
+        """No pending and no claimed tasks — nothing left to drain."""
+        return self._call("is_idle")
+
+    def claimed_names(self) -> list[str]:
+        """Task names currently claimed — the in-flight episodes."""
+        return self._call("claimed_names")
+
+    def workers(self) -> list[dict]:
+        """Per-worker liveness rows (observability, not correctness)."""
+        return self._call("workers")
+
+    # -- worker side ---------------------------------------------------
+
+    def repair_results(self) -> int:
+        """Drop a torn final checkpoint line so appends can resume."""
+        return self._call("repair_results")
+
+    def context_blob(self) -> bytes | None:
+        """The published context, still pickled (``None`` before publish)."""
+        blob = self._call("context")
+        return None if blob is None else _unb64(blob)
 
     def load_context(self, timeout_s: float = 0.0) -> CampaignContext | None:
         """The published context, or ``None`` if none appears in time."""
-        ...
+        deadline = time.monotonic() + timeout_s
+        while True:
+            blob = self.context_blob()
+            if blob is not None:
+                return pickle.loads(blob)
+            if time.monotonic() >= deadline:
+                return None
+            time.sleep(0.1)
 
     def claim(self, worker_id: str, lease_s: float | None = None) -> Claim | None:
         """Atomically take one pending task, or ``None`` if queue is empty."""
-        ...
+        result = self._call("claim", {"worker_id": worker_id, "lease_s": lease_s})
+        if result is None:
+            return None
+        return Claim(
+            name=result["name"],
+            task=pickle.loads(_unb64(result["task"])),
+            worker_id=worker_id,
+            lease_s=float(result["lease_s"]),
+        )
 
     def heartbeat(self, claim: Claim) -> None:
         """Refresh a claim's lease so it does not expire mid-episode."""
-        ...
+        self._call(
+            "heartbeat",
+            {"name": claim.name, "worker_id": claim.worker_id, "lease_s": claim.lease_s},
+        )
 
     def release(self, claim: Claim) -> bool:
         """Retire a finished claim; False if the lease had already expired."""
-        ...
+        return bool(self._call("release", {"name": claim.name}))
 
     def fail(
         self,
@@ -155,34 +348,93 @@ class Broker(Protocol):
         error: BaseException | None = None,
         failure: EpisodeFailure | None = None,
     ) -> None:
-        """Park a claim whose execution failed.  ``failure`` carries the
-        structured episode outcome (attempts already exhausted
-        worker-side); a bare ``error`` is an infrastructure fault."""
-        ...
+        """Park a failed claim with its error report.
 
-    def requeue_expired(self) -> list[str]:
-        """Return expired claims to the pending queue; list what moved."""
-        ...
+        With ``failure`` (the worker already exhausted the retry policy)
+        the report carries the structured outcome dict — the coordinator
+        reads it back to decide quarantine-vs-abort.  A bare ``error``
+        marks an infrastructure fault (context unloadable, broker I/O),
+        which always aborts the campaign.
+        """
+        if error is None and failure is not None:
+            error = failure.exception
+        tb_text = failure.traceback_text if failure is not None else ""
+        self._call(
+            "fail",
+            {
+                "name": claim.name,
+                "worker_id": claim.worker_id,
+                "error": repr(error) if error is not None else (
+                    failure.error if failure is not None else ""
+                ),
+                # Rendered here: the exception context lives with the
+                # caller, not with whatever runs the op.
+                "traceback": tb_text or traceback.format_exc(),
+                "failure": failure.to_dict() if failure is not None else None,
+            },
+        )
 
-    def quarantine(self, name: str) -> None:
-        """Retire a parked failed task for good (coordinator decision)."""
-        ...
+    def heartbeat_worker(self, worker_id: str, done: int) -> None:
+        """Beat this process's liveness row (observability only)."""
+        self._call(
+            "heartbeat_worker",
+            {
+                "worker_id": worker_id,
+                "done": int(done),
+                "host": socket.gethostname(),
+                "pid": os.getpid(),
+            },
+        )
+
+    # -- results (the JSONL checkpoint) --------------------------------
 
     def append_result(self, record: RunRecord) -> None:
         """Durably append one finished record to the shared checkpoint."""
-        ...
+        self._call("append_row", {"row": record.to_dict()})
 
     def append_failure(self, failure: EpisodeFailure) -> None:
-        """Durably append one quarantine row to the shared checkpoint."""
-        ...
+        """Durably append one quarantine row.  It lives in the same
+        checkpoint as records — the ``outcome`` key is the discriminator,
+        and :func:`~repro.core.runner.load_checkpoint_rows` folds both
+        back (so a resumed campaign never re-runs a quarantined
+        episode)."""
+        self._call("append_row", {"row": failure.to_dict()})
 
     def read_results(self, offset: int) -> tuple[int, list[RunRecord]]:
         """New complete records past ``offset``; returns the next offset."""
-        ...
+        result = self._call("read_results", {"offset": int(offset)})
+        records = _parse_rows(result["rows"], lambda row: RunRecord(**row))
+        return int(result["offset"]), records
 
-    def failures(self) -> list[dict]:
-        """Error reports of failed tasks (empty when all is well)."""
-        ...
+    def checkpoint_rows(self) -> tuple[list[RunRecord], list[EpisodeFailure]]:
+        """The full checkpoint, parsed — what a resuming coordinator
+        whose only access is a broker connection folds to decide which
+        episodes are still pending."""
+        result = self._call("checkpoint_rows")
+        return (
+            _parse_rows(result["records"], lambda row: RunRecord(**row)),
+            _parse_rows(result["failures"], EpisodeFailure.from_dict),
+        )
+
+    def result_identities(self) -> set[tuple[str, str, int, str]]:
+        """Identities of every *settled* episode — completed records and
+        quarantine rows alike (both mean "never run this again")."""
+        records, failures = self.checkpoint_rows()
+        return {record_identity(r) for r in records} | {
+            record_identity(f) for f in failures
+        }
+
+    # -- artifacts (content-addressed warm-start blobs) ----------------
+
+    def artifact_put(self, sha: str, blob: bytes) -> str:
+        return self._call("artifact_put", {"sha": sha, "blob": _b64(blob)})
+
+    def artifact_get(self, sha: str) -> bytes | None:
+        blob = self._call("artifact_get", {"sha": sha})
+        return None if blob is None else _unb64(blob)
+
+    def artifact_has(self, sha: str) -> bool:
+        return bool(self._call("artifact_has", {"sha": sha}))
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -193,18 +445,28 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-class FilesystemBroker:
+class FilesystemBroker(Broker):
     """The reference :class:`Broker`: a shared directory, no server.
 
     Claiming is ``rename(tasks/X, claimed/X)`` — atomic, and it fails
     with ``FileNotFoundError`` for every worker but the winner.  Leases
     are small JSON files refreshed by the claimer's heartbeat thread;
     anyone may requeue a claim whose heartbeat is older than its lease.
+
+    The ``op_<name>`` methods are the op table: they take the wire args
+    and return JSON-able results, and :meth:`_call` runs them in-process.
+    A :class:`~repro.core.netqueue.BrokerServer` serves the same table,
+    so local and remote callers get the same checks — task names and
+    worker ids are validated at the top of each op — and no op ever
+    unpickles: blobs stay opaque, so a server can serve coordinators and
+    workers of a different repro build (and a hostile frame cannot make
+    it execute a pickle; workers only unpickle what their coordinator
+    published, the same trust a shared directory needs).
     """
 
     def __init__(self, root: str | Path, lease_s: float = 60.0):
         self.root = Path(root)
-        self.lease_s = float(lease_s)
+        self.lease_s = check_lease_s(lease_s)
         self.tasks_dir = self.root / "tasks"
         self.claimed_dir = self.root / "claimed"
         self.leases_dir = self.root / "leases"
@@ -218,6 +480,12 @@ class FilesystemBroker:
         #: when the campaign came from a declarative spec.
         self.spec_path = self.root / "spec.json"
 
+    def _call(self, op: str, args: dict | None = None):
+        handler = getattr(self, f"op_{op}", None)
+        if handler is None:
+            raise BrokerError(f"unknown broker op {op!r}")
+        return handler(**(args or {}))
+
     # -- layout --------------------------------------------------------
 
     def ensure_layout(self) -> None:
@@ -225,30 +493,28 @@ class FilesystemBroker:
                   self.failed_dir, self.quarantined_dir, self.workers_dir):
             d.mkdir(parents=True, exist_ok=True)
 
-    @staticmethod
-    def _task_filename(task: EpisodeTask) -> str:
-        # Grid index first so workers drain in roughly canonical order;
-        # an identity digest after it so files are unique even if two
-        # campaigns (accidentally) share a directory across resumes.
-        digest = hashlib.sha1(repr(task.identity()).encode()).hexdigest()[:12]
-        return f"{task.index:05d}_{digest}.task"
-
     def _list(self, directory: Path) -> list[str]:
         try:
             return sorted(n for n in os.listdir(directory) if n.endswith(".task"))
         except FileNotFoundError:
             return []
 
+    def _lease_path(self, name: str) -> Path:
+        return self.leases_dir / f"{Path(name).stem}.json"
+
+    def op_ping(self) -> dict:
+        return {
+            "protocol": PROTOCOL_VERSION,
+            "pid": os.getpid(),
+            "host": socket.gethostname(),
+        }
+
     # -- coordinator side ----------------------------------------------
 
-    def publish(
-        self,
-        context: CampaignContext,
-        tasks: Sequence[EpisodeTask],
-        spec: dict | None = None,
-    ) -> None:
+    def op_publish(self, context: str, tasks: list, spec: dict | None = None) -> None:
         """Write the context and sync ``tasks/`` to the pending set.
 
+        ``tasks`` pairs each :meth:`_task_filename` with its pickle.
         Re-publishing (a resumed coordinator) is safe: failed tasks are
         returned for retry, stale entries not in the new pending set are
         dropped — from ``tasks/`` *and* ``claimed/`` (an orphaned claim
@@ -257,35 +523,13 @@ class FilesystemBroker:
         and currently-claimed tasks of this grid are left to their
         workers.
 
-        ``spec`` (a serialised :class:`~repro.core.spec.CampaignSpec`)
-        is archived as ``spec.json`` next to the pickled context: a
-        human- and machine-readable record of what campaign this broker
-        serves, portable across repro versions in a way the pickle is
-        not.
+        ``spec`` is archived as ``spec.json`` next to the pickled
+        context: a human- and machine-readable record of what campaign
+        this broker serves, portable across repro versions in a way the
+        pickle is not.
         """
-        self.publish_blobs(
-            pickle.dumps(context),
-            [(self._task_filename(task), pickle.dumps(task)) for task in tasks],
-            spec=spec,
-        )
-
-    def publish_blobs(
-        self,
-        context_blob: bytes,
-        named_tasks: Sequence[tuple[str, bytes]],
-        spec: dict | None = None,
-    ) -> None:
-        """The serialisation-free half of :meth:`publish`: tasks arrive
-        already pickled, each paired with its :meth:`_task_filename`.
-
-        This is the surface the :class:`~repro.core.netqueue.BrokerServer`
-        calls — the server moves opaque blobs between directories and
-        never unpickles anything a client sent, so a broker endpoint can
-        serve coordinators/workers running a different repro build (and
-        an attacker-controlled frame cannot make the *server* execute a
-        pickle; workers only ever unpickle what their coordinator
-        published, which is the same trust the filesystem broker needs).
-        """
+        wanted = {_check_task_name(name): _unb64(blob) for name, blob in tasks}
+        context_blob = _unb64(context)
         self.ensure_layout()
         if spec is not None:
             _write_atomic(
@@ -308,7 +552,7 @@ class FilesystemBroker:
             self.manifest_path,
             json.dumps(
                 {
-                    "n_tasks": len(named_tasks),
+                    "n_tasks": len(tasks),
                     "lease_s": self.lease_s,
                     "created_at": time.time(),
                     "coordinator": f"{socket.gethostname()}:{os.getpid()}",
@@ -318,8 +562,7 @@ class FilesystemBroker:
                 }
             ).encode(),
         )
-        self.requeue_failed()
-        wanted = dict(named_tasks)
+        self.op_requeue_failed()
         existing = set(self._list(self.tasks_dir))
         claimed = set(self._list(self.claimed_dir))
         for name in existing - wanted.keys():
@@ -334,20 +577,16 @@ class FilesystemBroker:
                 continue
             _write_atomic(self.tasks_dir / name, blob)
 
-    def manifest(self) -> dict | None:
-        """The published campaign manifest, or ``None`` before publish."""
+    def op_manifest(self) -> dict | None:
         try:
             return json.loads(self.manifest_path.read_text())
         except (FileNotFoundError, json.JSONDecodeError):
             return None
 
-    def requeue_failed(self) -> list[str]:
-        """Move failed tasks back to pending (retry after a fix).
-
-        The failed→pending round-trip preserves the task payload byte
+    def op_requeue_failed(self) -> list[str]:
+        """The failed→pending round-trip preserves the task payload byte
         for byte (it is a rename) and clears the parked error report, so
-        a retried task starts with a clean slate.
-        """
+        a retried task starts with a clean slate."""
         recovered = []
         for name in self._list(self.failed_dir):
             try:
@@ -358,15 +597,12 @@ class FilesystemBroker:
             recovered.append(name)
         return recovered
 
-    # Backwards-compatible alias (pre-quarantine name).
-    recover_failed = requeue_failed
-
-    def quarantine(self, name: str) -> None:
-        """Retire a parked failed task for good: the coordinator decided
-        (within the campaign's failure budget) to give this episode up,
-        so a later re-publish must NOT requeue it.  The task pickle and
-        its error report move to ``quarantined/`` as the post-mortem
-        artifact."""
+    def op_quarantine(self, name: str) -> None:
+        """The coordinator decided (within the campaign's failure budget)
+        to give this episode up, so a later re-publish must NOT requeue
+        it.  The task pickle and its error report move to
+        ``quarantined/`` as the post-mortem artifact."""
+        _check_task_name(name)
         self.ensure_layout()
         try:
             os.rename(self.failed_dir / name, self.quarantined_dir / name)
@@ -378,7 +614,7 @@ class FilesystemBroker:
         except FileNotFoundError:
             pass
 
-    def failures(self) -> list[dict]:
+    def op_failures(self) -> list[dict]:
         out = []
         try:
             names = sorted(os.listdir(self.failed_dir))
@@ -393,8 +629,7 @@ class FilesystemBroker:
                 continue
         return out
 
-    def status(self) -> dict:
-        """Queue counts, for logging and doctors."""
+    def op_status(self) -> dict:
         return {
             "pending": len(self._list(self.tasks_dir)),
             "claimed": len(self._list(self.claimed_dir)),
@@ -405,33 +640,17 @@ class FilesystemBroker:
 
     # -- worker side ---------------------------------------------------
 
-    def context_blob(self) -> bytes | None:
-        """The published context, still pickled (``None`` before publish).
-        Servers relay this blob verbatim; only workers unpickle it."""
+    def op_context(self) -> str | None:
         try:
-            return self.context_path.read_bytes()
+            return _b64(self.context_path.read_bytes())
         except FileNotFoundError:
             return None
 
-    def load_context(self, timeout_s: float = 0.0) -> CampaignContext | None:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            blob = self.context_blob()
-            if blob is not None:
-                return pickle.loads(blob)
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(0.1)
-
-    def claim_blob(
-        self, worker_id: str, lease_s: float | None = None
-    ) -> tuple[str, bytes, float] | None:
-        """The serialisation-free half of :meth:`claim`: atomically take
-        one pending task and return ``(name, task_blob, lease_s)`` with
-        the lease already written — the blob stays opaque, so the
-        :class:`~repro.core.netqueue.BrokerServer` can relay it to a
-        remote worker without unpickling anything."""
-        lease_s = float(lease_s if lease_s is not None else self.lease_s)
+    def op_claim(self, worker_id: str, lease_s: float | None = None) -> dict | None:
+        """Atomically take one pending task, with its lease already
+        written; the task blob stays opaque."""
+        _check_worker_id(worker_id)
+        lease_s = self.lease_s if lease_s is None else check_lease_s(lease_s)
         for name in self._list(self.tasks_dir):
             claimed = self.claimed_dir / name
             try:
@@ -458,26 +677,14 @@ class FilesystemBroker:
                 blob = claimed.read_bytes()
             except FileNotFoundError:
                 continue  # stolen before our lease landed; move on
-            self._write_lease(name, worker_id, lease_s)
-            return name, blob, lease_s
+            self.op_heartbeat(name, worker_id, lease_s)
+            return {"name": name, "task": _b64(blob), "lease_s": lease_s}
         return None
 
-    def claim(self, worker_id: str, lease_s: float | None = None) -> Claim | None:
-        claimed = self.claim_blob(worker_id, lease_s)
-        if claimed is None:
-            return None
-        name, blob, lease_s = claimed
-        return Claim(
-            name=name, task=pickle.loads(blob), worker_id=worker_id, lease_s=lease_s
-        )
-
-    def _lease_path(self, name: str) -> Path:
-        return self.leases_dir / f"{Path(name).stem}.json"
-
-    def heartbeat(self, claim: Claim) -> None:
-        self._write_lease(claim.name, claim.worker_id, claim.lease_s)
-
-    def _write_lease(self, name: str, worker_id: str, lease_s: float) -> None:
+    def op_heartbeat(self, name: str, worker_id: str, lease_s: float) -> None:
+        # Stamped with this machine's clock: behind a BrokerServer, worker
+        # skew cannot fake or hide an expiry.
+        _check_task_name(name)
         _write_atomic(
             self._lease_path(name),
             json.dumps(
@@ -485,15 +692,13 @@ class FilesystemBroker:
                     "task": name,
                     "worker": worker_id,
                     "heartbeat_at": time.time(),
-                    "lease_s": lease_s,
+                    "lease_s": check_lease_s(lease_s),
                 }
             ).encode(),
         )
 
-    def release(self, claim: Claim) -> bool:
-        return self.release_raw(claim.name)
-
-    def release_raw(self, name: str) -> bool:
+    def op_release(self, name: str) -> bool:
+        _check_task_name(name)
         self._lease_path(name).unlink(missing_ok=True)
         try:
             os.unlink(self.claimed_dir / name)
@@ -503,44 +708,17 @@ class FilesystemBroker:
             # were (slowly) finishing; the rerun will dedupe by identity.
             return False
 
-    def fail(
-        self,
-        claim: Claim,
-        error: BaseException | None = None,
-        failure: EpisodeFailure | None = None,
-    ) -> None:
-        """Park a failed claim with its error report.
-
-        With ``failure`` (the worker already exhausted the retry policy)
-        the report carries the structured outcome dict — the coordinator
-        reads it back to decide quarantine-vs-abort.  A bare ``error``
-        marks an infrastructure fault (context unloadable, broker I/O),
-        which always aborts the campaign.
-        """
-        if error is None and failure is not None:
-            error = failure.exception
-        tb_text = failure.traceback_text if failure is not None else ""
-        self.fail_raw(
-            claim.name,
-            claim.worker_id,
-            error=repr(error) if error is not None else (
-                failure.error if failure is not None else ""
-            ),
-            traceback_text=tb_text or traceback.format_exc(),
-            failure=failure.to_dict() if failure is not None else None,
-        )
-
-    def fail_raw(
+    def op_fail(
         self,
         name: str,
-        worker_id: str,
-        error: str,
-        traceback_text: str,
+        worker_id: str = "?",
+        error: str = "",
+        traceback: str = "",
         failure: dict | None = None,
     ) -> None:
-        """:meth:`fail` with the report already flattened to strings and
-        a dict — the wire-facing half (the broker server parks what a
-        remote worker reports without reconstructing exceptions)."""
+        """Park a claim with its report, already flattened to strings and
+        a dict — no exception is reconstructed here."""
+        _check_task_name(name)
         self._lease_path(name).unlink(missing_ok=True)
         try:
             os.rename(self.claimed_dir / name, self.failed_dir / name)
@@ -553,17 +731,17 @@ class FilesystemBroker:
                     "task": name,
                     "worker": worker_id,
                     "error": error,
-                    "traceback": traceback_text,
+                    "traceback": traceback,
                     "failed_at": time.time(),
                     "failure": failure,
                 }
             ).encode(),
         )
 
-    def heartbeat_worker(
+    def op_heartbeat_worker(
         self,
         worker_id: str,
-        done: int,
+        done: int = 0,
         host: str | None = None,
         pid: int | None = None,
     ) -> None:
@@ -571,10 +749,10 @@ class FilesystemBroker:
 
         Callers are expected to have run :meth:`ensure_layout` once at
         attach — no per-beat mkdir chatter against a shared mount.
-        ``host``/``pid`` override the local process identity — the broker
-        server beats on behalf of remote TCP workers and must report
-        *their* location, not its own.
+        ``host``/``pid`` name the beating worker, which behind a
+        :class:`~repro.core.netqueue.BrokerServer` is not this process.
         """
+        _check_worker_id(worker_id)
         _write_atomic(
             self.workers_dir / f"{worker_id}.json",
             json.dumps(
@@ -583,15 +761,13 @@ class FilesystemBroker:
                     "host": host if host is not None else socket.gethostname(),
                     "pid": pid if pid is not None else os.getpid(),
                     "heartbeat_at": time.time(),
-                    "episodes_done": done,
+                    "episodes_done": int(done),
                 }
             ).encode(),
         )
 
-    def workers(self) -> list[dict]:
-        """Per-worker liveness rows (observability, not correctness).
-
-        Each row is the worker's own heartbeat payload plus ``age_s``:
+    def op_workers(self) -> list[dict]:
+        """Each row is the worker's own heartbeat payload plus ``age_s``:
         seconds since the *fresher* of the embedded ``heartbeat_at`` and
         the heartbeat file's mtime, clamped non-negative.  Judging by the
         embedded timestamp alone turns clock skew into a lie — a worker
@@ -639,7 +815,7 @@ class FilesystemBroker:
             lease = json.loads(self._lease_path(name).read_text())
             heartbeat_at = float(lease["heartbeat_at"]) + 0.0  # TypeError on junk
             lease_s = float(lease["lease_s"])
-            # Same skew guard as workers(): a claimer whose clock lags
+            # Same skew guard as op_workers(): a claimer whose clock lags
             # writes heartbeats stamped "in the past"; trusting the
             # embedded time alone would expire its lease the instant it
             # lands and requeue a task that is actively running (a
@@ -659,7 +835,7 @@ class FilesystemBroker:
             except FileNotFoundError:
                 return False
 
-    def requeue_expired(self) -> list[str]:
+    def op_requeue_expired(self) -> list[str]:
         now = time.time()
         requeued = []
         for name in self._list(self.claimed_dir):
@@ -673,89 +849,63 @@ class FilesystemBroker:
             requeued.append(name)
         return requeued
 
-    def live_leases(self) -> int:
-        """Claims whose lease has not (yet) expired."""
+    def op_live_leases(self) -> int:
         now = time.time()
         return sum(
             1 for name in self._list(self.claimed_dir)
             if not self._lease_expired(name, now)
         )
 
-    def claimed_names(self) -> list[str]:
-        """Task names currently in ``claimed/`` — the in-flight episodes.
-
-        Names start with the 5-digit grid index
-        (see :meth:`_task_filename`), which is how the campaign service
-        maps a claim back to "episode N is running"."""
+    def op_claimed_names(self) -> list[str]:
+        """Names start with the 5-digit grid index (see
+        :meth:`_task_filename`), which is how the campaign service maps a
+        claim back to "episode N is running"."""
         return self._list(self.claimed_dir)
 
-    def is_idle(self) -> bool:
-        """No pending and no claimed tasks — nothing left to drain."""
+    def op_is_idle(self) -> bool:
         return not self._list(self.tasks_dir) and not self._list(self.claimed_dir)
 
     # -- results (the JSONL checkpoint) --------------------------------
 
-    def repair_results(self) -> int:
-        """Drop a torn final checkpoint line (crashed non-atomic writer
-        or filesystem-level truncation) so appends can safely resume."""
+    def op_repair_results(self) -> int:
+        """A torn final line comes from a crashed non-atomic writer or
+        filesystem-level truncation."""
         return repair_jsonl_tail(self.results_path)
 
-    def append_result(self, record: RunRecord) -> None:
-        self.append_row(record.to_dict())
-
-    def append_failure(self, failure: EpisodeFailure) -> None:
-        """Quarantine rows live in the same checkpoint as records — the
-        ``outcome`` key is the discriminator, and
-        :func:`~repro.core.runner.load_checkpoint_rows` folds both back
-        (so a resumed campaign never re-runs a quarantined episode)."""
-        self.append_row(failure.to_dict())
-
-    def append_row(self, row: dict) -> None:
-        """Durably append one already-serialised checkpoint row (the
-        wire-facing half of the two appends above)."""
+    def op_append_row(self, row: dict) -> None:
         append_jsonl_line(self.results_path, row)
 
-    def checkpoint_rows(self) -> tuple[list[RunRecord], list[EpisodeFailure]]:
-        """The full checkpoint, parsed — what a resuming coordinator
-        folds to decide which episodes are still pending.  Local
-        coordinators read the JSONL file directly; this method exists so
-        a coordinator whose only access is a broker connection (the TCP
-        client) can resume from the server-side checkpoint too."""
-        from .runner import load_checkpoint_rows
+    def op_checkpoint_rows(self) -> dict:
+        records, failures = load_checkpoint_rows(self.results_path)
+        return {
+            "records": [r.to_dict() for r in records],
+            "failures": [f.to_dict() for f in failures],
+        }
 
-        return load_checkpoint_rows(self.results_path)
-
-    def read_results(self, offset: int) -> tuple[int, list[RunRecord]]:
+    def op_read_results(self, offset: int = 0) -> dict:
         """Complete lines past ``offset``; a trailing partial line (an
         append in flight on another machine) stays unread until next poll.
         Lines that don't parse as records are skipped — foreign rows never
         match a grid identity anyway."""
+        offset = int(offset)
         try:
             with open(self.results_path, "rb") as fh:
                 fh.seek(offset)
                 data = fh.read()
         except FileNotFoundError:
-            return offset, []
+            return {"offset": offset, "rows": []}
         end = data.rfind(b"\n")
         if end < 0:
-            return offset, []
-        records = []
+            return {"offset": offset, "rows": []}
+        rows = []
         for line in data[:end].split(b"\n"):
             if not line.strip():
                 continue
             try:
-                records.append(RunRecord(**json.loads(line)))
+                rows.append(RunRecord(**json.loads(line)).to_dict())
             except (json.JSONDecodeError, TypeError):
                 continue
-        return offset + end + 1, records
-
-    def result_identities(self) -> set[tuple[str, str, int, str]]:
-        """Identities of every *settled* episode — completed records and
-        quarantine rows alike (both mean "never run this again")."""
-        records, failures = self.checkpoint_rows()
-        return {record_identity(r) for r in records} | {
-            record_identity(f) for f in failures
-        }
+        return {"offset": offset + end + 1, "rows": rows}
 
     # -- artifacts (content-addressed warm-start blobs) ----------------
 
@@ -769,13 +919,14 @@ class FilesystemBroker:
 
         return ArtifactStore(self.root / "artifacts")
 
-    def artifact_put(self, sha: str, blob: bytes) -> str:
-        return self.artifacts.put(blob, sha=sha)
+    def op_artifact_put(self, sha: str, blob: str) -> str:
+        return self.artifacts.put(_unb64(blob), sha=sha)
 
-    def artifact_get(self, sha: str) -> bytes | None:
-        return self.artifacts.get(sha)
+    def op_artifact_get(self, sha: str) -> str | None:
+        blob = self.artifacts.get(sha)
+        return None if blob is None else _b64(blob)
 
-    def artifact_has(self, sha: str) -> bool:
+    def op_artifact_has(self, sha: str) -> bool:
         return self.artifacts.has(sha)
 
 
@@ -787,7 +938,7 @@ class FilesystemBroker:
 class _LeaseKeeper:
     """Background thread refreshing one claim's lease while it executes."""
 
-    def __init__(self, broker: FilesystemBroker, claim: Claim):
+    def __init__(self, broker: Broker, claim: Claim):
         self._broker = broker
         self._claim = claim
         self._stop = threading.Event()
@@ -802,9 +953,13 @@ class _LeaseKeeper:
         self._thread.start()
         return self
 
-    def __exit__(self, *exc) -> None:
+    def stop(self) -> None:
+        """Stop beating; once this returns, no beat is in flight."""
         self._stop.set()
         self._thread.join(timeout=5.0)
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
 
 def default_worker_id() -> str:
@@ -823,7 +978,7 @@ def run_worker(
     idle_timeout: float = 5.0,
     max_tasks: int | None = None,
     verbose: bool = False,
-    broker: "FilesystemBroker | None" = None,
+    broker: Broker | None = None,
     chaos: dict | None = None,
     episodes_per_slot: int | None = None,
 ) -> int:
@@ -860,8 +1015,8 @@ def run_worker(
     ``episodes_per_slot`` override here), the worker claims up to a full
     slot of tasks per cycle and drains them through one
     :class:`~repro.core.multiplex.EpisodeMultiplexer` — every claim's
-    lease heartbeats for the whole slot, and each episode's record/
-    failure retires its own claim as it finishes.  Output stays
+    lease heartbeats until its own episode finishes, and that episode's
+    record/failure then retires the claim.  Output stays
     byte-identical to single-task draining.
 
     Exits once ``tasks/`` and ``claimed/`` have stayed empty for
@@ -1010,10 +1165,16 @@ def _drain(
         mux = EpisodeMultiplexer(context, episodes_per_slot=slot, policy=policy)
         try:
             with ExitStack() as leases:
-                for claim in runnable:
-                    leases.enter_context(_LeaseKeeper(broker, claim))
+                keepers = {
+                    identity: leases.enter_context(_LeaseKeeper(broker, claim))
+                    for identity, claim in by_identity.items()
+                }
                 for task, result in mux.run([c.task for c in runnable]):
                     claim = by_identity.pop(task.identity())
+                    # Stop this claim's beats before retiring it: a beat
+                    # landing after the release would rewrite the lease of
+                    # a task nobody holds any more.
+                    keepers.pop(task.identity()).stop()
                     if isinstance(result, EpisodeFailure):
                         # Attempts exhausted: park the structured failure
                         # for the coordinator's budget decision.  Never
@@ -1112,7 +1273,7 @@ class QueueExecutor:
     def publish_spec(self, spec: dict) -> None:
         """Attach a serialised campaign spec; archived at :meth:`run`'s
         publish as the broker's ``spec.json`` (see
-        :meth:`FilesystemBroker.publish`)."""
+        :meth:`Broker.publish`)."""
         self._spec = spec
 
     @property

@@ -60,6 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .outcomes import EpisodeOutcome, FaultTolerancePolicy
+from .queue import check_lease_s
 from .spec import CampaignSpec, SpecError
 
 __all__ = ["CampaignService", "Submission"]
@@ -132,9 +133,10 @@ def _parse_submission_payload(payload) -> tuple[CampaignSpec, dict]:
         overrides["workers"] = workers
     lease_s = payload.get("lease_s")
     if lease_s is not None:
-        if not isinstance(lease_s, (int, float)) or lease_s <= 0:
-            raise SpecError("request.lease_s", f"expected a positive number, got {lease_s!r}")
-        overrides["lease_s"] = float(lease_s)
+        try:
+            overrides["lease_s"] = check_lease_s(lease_s)
+        except ValueError as exc:
+            raise SpecError("request.lease_s", str(exc)) from None
     episodes_per_slot = payload.get("episodes_per_slot")
     if episodes_per_slot is not None:
         if not isinstance(episodes_per_slot, int) or episodes_per_slot < 1:

@@ -58,6 +58,7 @@ from ..sim.town import GridTownConfig
 from .campaign import standard_scenarios
 from .faults.base import FaultModel
 from .outcomes import FaultTolerancePolicy
+from .queue import check_lease_s
 from .scenariogen import GrammarError, ScenarioGrammar
 
 __all__ = [
@@ -330,8 +331,11 @@ class ExecutionSpec:
             )
         if self.workers is not None and self.workers < 0:
             raise SpecError("spec.execution.workers", "must be >= 0")
-        if self.lease_s is not None and not self.lease_s > 0:
-            raise SpecError("spec.execution.lease_s", "must be > 0")
+        if self.lease_s is not None:
+            try:
+                check_lease_s(self.lease_s)
+            except ValueError as exc:
+                raise SpecError("spec.execution.lease_s", str(exc)) from None
         if self.episodes_per_slot is not None and self.episodes_per_slot < 1:
             raise SpecError("spec.execution.episodes_per_slot", "must be >= 1")
 

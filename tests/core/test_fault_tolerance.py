@@ -326,12 +326,6 @@ class TestBrokerFailureRoundTrip:
         assert broker.failures() == [], "parked traceback must be cleared"
         assert not list(broker.failed_dir.glob("*.error.json"))
 
-    def test_recover_failed_alias_still_works(self, builder, scenarios, tmp_path):
-        broker = self._published(builder, scenarios, tmp_path)
-        claim = broker.claim("w0")
-        broker.fail(claim, error=RuntimeError("x"))
-        assert broker.recover_failed() == [claim.name]
-
     def test_lease_keeper_thread_joins_on_exit(self, builder, scenarios, tmp_path):
         from repro.core.queue import _LeaseKeeper
 

@@ -272,6 +272,30 @@ class TestWireNameValidation:
             with pytest.raises(BrokerError, match="invalid worker id"):
                 broker._call(op, args)
 
+    def test_filesystem_broker_checks_names_locally(self, tmp_path):
+        """The checks sit at the top of the broker's own ops, so a local
+        caller is refused exactly like a remote one instead of the op
+        quietly doing nothing (or writing outside the root)."""
+        from repro.core.queue import Claim
+
+        broker = FilesystemBroker(tmp_path / "q")
+        evil = Claim(name="../escape", task=None, worker_id="w", lease_s=5.0)
+        for call in (
+            lambda: broker.quarantine("../escape"),
+            lambda: broker.release(evil),
+            lambda: broker.fail(evil, error=RuntimeError("x")),
+            lambda: broker.heartbeat(evil),
+        ):
+            with pytest.raises(BrokerError, match="invalid task name"):
+                call()
+        for call in (
+            lambda: broker.claim("../../w"),
+            lambda: broker.heartbeat_worker("../../w", 0),
+        ):
+            with pytest.raises(BrokerError, match="invalid worker id"):
+                call()
+        assert not (tmp_path / "escape.json").exists()
+
     def test_minted_names_and_default_worker_ids_pass(self):
         from repro.core.netqueue import _TASK_NAME_RE, _WORKER_ID_RE
         from repro.core.queue import default_worker_id
@@ -279,6 +303,51 @@ class TestWireNameValidation:
         assert _TASK_NAME_RE.fullmatch("00042_0123456789ab.task")
         assert _WORKER_ID_RE.fullmatch(default_worker_id())
         assert _WORKER_ID_RE.fullmatch(f"local-{os.getpid()}-3")
+
+
+# ----------------------------------------------------------------------
+# Lease bounds
+# ----------------------------------------------------------------------
+
+
+class TestLeaseBounds:
+    """A lease that is infinite or NaN never expires, and one that is not
+    positive has expired when it lands: the task of a worker that dies
+    under the first kind never returns to the queue.  Every way a lease
+    duration enters the broker refuses both."""
+
+    BAD = [float("inf"), float("nan"), -1.0, 0.0, True]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_constructors_reject(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="lease_s"):
+            FilesystemBroker(tmp_path / "q", lease_s=bad)
+        with pytest.raises(ValueError, match="lease_s"):
+            TcpBroker("127.0.0.1", 1, lease_s=bad)
+        with pytest.raises(ValueError, match="lease_s"):
+            BrokerServer(tmp_path / "q", port=0, lease_s=bad)
+
+    def test_server_rejects_unbounded_claim_and_heartbeat(
+        self, server, builder, scenarios
+    ):
+        campaign = _campaign(builder, scenarios)
+        broker = make_broker(server.address)
+        broker.publish(campaign.context(), campaign.tasks())
+        for bad in self.BAD:
+            with pytest.raises(BrokerError, match="lease_s"):
+                broker._call("claim", {"worker_id": "w", "lease_s": bad})
+        assert broker.status()["claimed"] == 0, "a refused claim takes nothing"
+        claim = broker.claim("w", lease_s=0.2)
+        for bad in self.BAD:
+            with pytest.raises(BrokerError, match="lease_s"):
+                broker._call(
+                    "heartbeat",
+                    {"name": claim.name, "worker_id": "w", "lease_s": bad},
+                )
+        time.sleep(0.4)
+        assert broker.requeue_expired() == [claim.name], (
+            "a refused heartbeat must not have extended the lease"
+        )
 
 
 # ----------------------------------------------------------------------

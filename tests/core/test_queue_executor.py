@@ -313,6 +313,18 @@ class TestLeases:
         assert len(rows) == 1
 
 
+    def test_slot_drain_leaves_no_orphan_lease(self, builder, scenarios, tmp_path):
+        """Each claim of a multiplexed slot stops heartbeating before its
+        episode retires it; a beat after the release would rewrite the
+        lease file of a task nobody holds."""
+        broker, runner = self._published_broker(builder, scenarios, tmp_path / "q")
+        done = run_worker(tmp_path / "q", worker_id="slot", lease_s=0.2, poll_s=0.02,
+                          idle_timeout=0.2, episodes_per_slot=2)
+        assert done == len(runner.tasks())
+        assert broker.is_idle()
+        assert os.listdir(broker.leases_dir) == []
+
+
 class TestCheckpointRecovery:
     def test_duplicate_identity_rows_dedupe(self, builder, scenarios, tmp_path):
         """Two records for one identity (lease expired after the worker

@@ -188,6 +188,11 @@ class TestRejection:
         for field, bad in (
             ("workers", -1),
             ("lease_s", 0),
+            # NaN/Infinity parse as JSON floats, true as an int: none of
+            # them is a lease that ever expires.
+            ("lease_s", float("nan")),
+            ("lease_s", float("inf")),
+            ("lease_s", True),
             ("episodes_per_slot", 0),
             ("fault_tolerance", {"max_attempts": "lots"}),
         ):

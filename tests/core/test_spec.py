@@ -419,6 +419,13 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="queue_dir: must be a string"):
             ExecutionSpec.from_dict({"queue_dir": 7})
 
+    def test_unbounded_lease_rejected(self):
+        """JSON's Infinity/NaN parse as floats; a lease that never
+        expires would strand a dead worker's task forever."""
+        for bad in ("Infinity", "NaN", "-1", "0"):
+            with pytest.raises(SpecError, match="spec.execution.lease_s"):
+                ExecutionSpec.from_dict(json.loads(f'{{"lease_s": {bad}}}'))
+
     def test_bad_backend_rejected(self):
         with pytest.raises(SpecError, match="unknown backend"):
             CampaignSpec.from_dict(
