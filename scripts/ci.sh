@@ -15,7 +15,11 @@
 # It also gates the episode multiplexer: batched sensing must stay
 # >= 1.5x single-episode serial per core on the dense scene, recorded in
 # benchmarks/results/BENCH_multiplex.json
-# (see benchmarks/test_bench_multiplex.py).
+# (see benchmarks/test_bench_multiplex.py).  And it gates cold scene
+# setup: a fresh TownTexture of the benchmark town must build >= 5x faster
+# than the whole-grid reference rasteriser, recorded in
+# benchmarks/results/BENCH_scene_setup.json
+# (see benchmarks/test_bench_scene_setup.py).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,12 +152,13 @@ grep -q "done  {'ok': 3}" "$SERVICE_DIR/service.txt"
 grep -q "byte-identical to serial run: True" "$SERVICE_DIR/service.txt"
 
 if [[ "${1:-}" == "--slow" ]]; then
-    echo "== slow tier: benchmarks (incl. sensor pipeline + multiplex gates) =="
+    echo "== slow tier: benchmarks (incl. sensor pipeline, multiplex and scene setup gates) =="
     # The multiplex gate (benchmarks/test_bench_multiplex.py) fails the
     # tier if batched sensing drops below 1.5x single-episode serial per
     # core on the dense scene, and records BENCH_multiplex.json.
     python -m pytest -x -q -m slow
     test -s benchmarks/results/BENCH_multiplex.json
+    test -s benchmarks/results/BENCH_scene_setup.json
     echo "== bench results =="
     ls -l benchmarks/results/
 fi

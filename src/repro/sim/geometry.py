@@ -522,13 +522,28 @@ class Polyline:
         closest = self.point_at(station)
         return point.distance_to(closest)
 
-    def resampled(self, spacing: float) -> "Polyline":
-        """A copy resampled at approximately uniform ``spacing`` metres."""
+    def resampled_xy(self, spacing: float) -> np.ndarray:
+        """The vertices of :meth:`resampled` as an ``(N, 2)`` array.
+
+        :meth:`point_at` evaluated at every station at once, with the
+        same expressions element-wise, so each row equals the scalar
+        ``point_at`` bit for bit.
+        """
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         n = max(2, int(math.ceil(self.length / spacing)) + 1)
-        stations = np.linspace(0.0, self.length, n)
-        return Polyline([self.point_at(float(s)) for s in stations])
+        s = np.linspace(0.0, self.length, n)
+        idx = np.searchsorted(self._cum, s, side="right") - 1
+        idx = np.minimum(idx, len(self._seg_len) - 1)
+        t = s - self._cum[idx]
+        out = np.empty((n, 2))
+        out[:, 0] = self._xy[idx, 0] + self._seg_dir[idx, 0] * t
+        out[:, 1] = self._xy[idx, 1] + self._seg_dir[idx, 1] * t
+        return out
+
+    def resampled(self, spacing: float) -> "Polyline":
+        """A copy resampled at approximately uniform ``spacing`` metres."""
+        return Polyline([Vec2(float(x), float(y)) for x, y in self.resampled_xy(spacing)])
 
     def offset(self, lateral: float) -> "Polyline":
         """A parallel polyline offset ``lateral`` metres to the left."""

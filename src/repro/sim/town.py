@@ -9,9 +9,10 @@ queries every other subsystem needs:
 * *localisation* — which lane a point is on, its station (arc length) and
   signed lateral offset (:meth:`Town.locate`), used by the violation
   detectors and the expert autopilot;
-* *surface classification* — vectorised road/curb/off-road labelling of
-  point batches (:meth:`Town.classify_points`), used by the renderer to
-  rasterise the ground texture;
+* *surface classification* — road/curb/off-road labelling of a texel
+  grid (:meth:`Town.classify_grid`), used by the renderer to rasterise
+  the ground texture, and of scattered point batches
+  (:meth:`Town.classify_points`);
 * *routing* — the directed lane graph (:meth:`Town.route_edges`) plus
   smooth intersection connector curves
   (:meth:`Town.connection_curve`), used by the route planner;
@@ -79,14 +80,12 @@ class MarkingStripe:
     """A painted lane marking, used by the renderer.
 
     ``polyline`` runs along the stripe centre; ``width`` is the painted
-    width in metres.  ``dashed`` stripes are drawn with a 3 m on / 3 m off
-    pattern.  ``color`` is an RGB triple in 0..255.
+    width in metres.  ``color`` is an RGB triple in 0..255.
     """
 
     polyline: Polyline
     width: float
     color: tuple[int, int, int]
-    dashed: bool = False
 
 
 @dataclass(frozen=True)
@@ -461,7 +460,10 @@ class Town:
         Returns an array of :class:`SurfaceType` values (uint8).  Roads and
         junction cores label ``ROAD``; the sidewalk band around them labels
         ``CURB``; everything else (including building footprints) is
-        ``OFFROAD``.
+        ``OFFROAD``.  Every road and junction is tested against every
+        point, so this serves scattered points; whole texel grids go
+        through :meth:`classify_grid`, which this method is the reference
+        for.
         """
         pts = np.asarray(xy, dtype=np.float64)
         out = np.zeros(len(pts), dtype=np.uint8)
@@ -483,6 +485,61 @@ class Town:
             dy = np.abs(pts[:, 1] - inter.center.y)
             road |= (dx <= inter.half_size) & (dy <= inter.half_size)
             curb |= (dx <= inter.half_size + sw) & (dy <= inter.half_size + sw)
+        out[curb] = int(SurfaceType.CURB)
+        out[road] = int(SurfaceType.ROAD)
+        return out
+
+    def classify_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Surface classes of the grid of texel centres ``xs`` x ``ys``.
+
+        ``xs`` and ``ys`` are ascending; the result has shape
+        ``(len(ys), len(xs))`` and equals :meth:`classify_points` over
+        the grid's ``meshgrid`` bit for bit.  Each road and junction is
+        tested only on the texel window of its bounding box (sidewalk
+        included) plus one texel of slack on every side, with the same
+        comparisons as :meth:`classify_points`, so the work follows the
+        painted area rather than the grid size.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        out = np.zeros((len(ys), len(xs)), dtype=np.uint8)
+        curb = np.zeros(out.shape, dtype=bool)
+        road = np.zeros(out.shape, dtype=bool)
+        sw = self.sidewalk_width
+
+        def window(x_lo, x_hi, y_lo, y_hi):
+            i0 = max(int(np.searchsorted(xs, x_lo, side="left")) - 1, 0)
+            i1 = int(np.searchsorted(xs, x_hi, side="right")) + 1
+            j0 = max(int(np.searchsorted(ys, y_lo, side="left")) - 1, 0)
+            j1 = int(np.searchsorted(ys, y_hi, side="right")) + 1
+            return np.s_[j0:j1, i0:i1], xs[i0:i1][None, :], ys[j0:j1][:, None]
+
+        for r in self.roads.values():
+            start = r.centerline.points[0]
+            c, s = math.cos(r.heading), math.sin(r.heading)
+            reach = r.half_width + sw
+            cx = [start.x + lx * c - ly * s for lx in (0.0, r.length) for ly in (-reach, reach)]
+            cy = [start.y + lx * s + ly * c for lx in (0.0, r.length) for ly in (-reach, reach)]
+            win, wx, wy = window(min(cx), max(cx), min(cy), max(cy))
+            dx = wx - start.x
+            dy = wy - start.y
+            lx = dx * c + dy * s
+            ly = -dx * s + dy * c
+            along = (lx >= 0.0) & (lx <= r.length)
+            road[win] |= along & (np.abs(ly) <= r.half_width)
+            curb[win] |= along & (np.abs(ly) <= r.half_width + sw)
+        for inter in self.intersections.values():
+            reach = inter.half_size + sw
+            win, wx, wy = window(
+                inter.center.x - reach,
+                inter.center.x + reach,
+                inter.center.y - reach,
+                inter.center.y + reach,
+            )
+            dx = np.abs(wx - inter.center.x)
+            dy = np.abs(wy - inter.center.y)
+            road[win] |= (dx <= inter.half_size) & (dy <= inter.half_size)
+            curb[win] |= (dx <= inter.half_size + sw) & (dy <= inter.half_size + sw)
         out[curb] = int(SurfaceType.CURB)
         out[road] = int(SurfaceType.ROAD)
         return out
@@ -710,10 +767,10 @@ class Town:
         stripes: list[MarkingStripe] = []
         for road in self.roads.values():
             cl = road.centerline
-            stripes.append(MarkingStripe(cl, 0.30, (200, 180, 40), dashed=False))
+            stripes.append(MarkingStripe(cl, 0.30, (200, 180, 40)))
             for side in (+1, -1):
                 edge = cl.offset(side * (road.half_width - 0.15))
-                stripes.append(MarkingStripe(edge, 0.20, (230, 230, 230), dashed=False))
+                stripes.append(MarkingStripe(edge, 0.20, (230, 230, 230)))
         return stripes
 
     def iter_lanes(self) -> Iterator[Lane]:

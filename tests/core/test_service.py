@@ -174,6 +174,19 @@ class TestRejection:
         assert status == 400
         assert body["path"] == "spec.injectors['gaussian'][0]"
 
+    def test_bad_texture_resolution_is_400(self, service, smoke_payload):
+        # Infinity used to be accepted and rasterise an empty texture that
+        # failed only at the first sensed frame, inside a worker.
+        for bad in (float("inf"), float("nan"), -1, True, "x"):
+            spec = json.loads(json.dumps(smoke_payload))
+            spec["builder"]["texture_resolution"] = bad
+            status, body, _ = _request(
+                f"{service.url}/campaigns", method="POST", payload=spec
+            )
+            assert status == 400, (bad, body)
+            assert body["path"] == "spec.builder"
+            assert "texture resolution" in body["error"]
+
     def test_unknown_envelope_key_is_400(self, service, smoke_payload):
         status, body, _ = _request(
             f"{service.url}/campaigns",
