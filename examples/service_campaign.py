@@ -9,8 +9,9 @@ subprocess speaking the real protocols:
 2. One ``avfi worker --queue-dir tcp://...`` attaches over the network
    (in production: any machine that can reach the broker port).
 3. This script plays the client: it submits ``examples/specs/smoke.json``
-   with plain ``urllib``, polls per-episode status until the campaign
-   settles, and streams the results back.
+   with plain ``urllib``, long-polls its status (``?wait=``: the service
+   answers the moment the campaign settles), and streams the results
+   back.
 4. The streamed JSONL must be byte-identical to a local serial run of
    the same spec — the service invariant ``scripts/ci.sh`` relies on.
 5. ``POST /shutdown`` stops the service; every subprocess is reaped
@@ -129,7 +130,6 @@ def main() -> None:
                     "--queue-dir", broker,
                     "--worker-id", "service-example",
                     "--lease", str(args.lease),
-                    "--poll", "0.1",
                     "--idle-timeout", "30",
                 ],
                 env=_env(),
@@ -148,7 +148,7 @@ def main() -> None:
             deadline = time.monotonic() + args.timeout
             last = None
             while True:
-                summary = _call(f"{url}/campaigns/{sub_id}")
+                summary = _call(f"{url}/campaigns/{sub_id}?wait=5")
                 line = f"{summary['state']}  {summary['counts']}"
                 if line != last:
                     print(f"  {line}")
@@ -157,7 +157,6 @@ def main() -> None:
                     break
                 if time.monotonic() > deadline:
                     raise RuntimeError(f"campaign never settled: {summary}")
-                time.sleep(0.5)
             if summary["state"] != "done":
                 raise RuntimeError(f"campaign failed: {summary.get('error')}")
 

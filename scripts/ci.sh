@@ -143,8 +143,10 @@ python examples/generated_campaign.py --workers 1
 echo "== smoke: campaign as a service (avfi serve + TCP worker + HTTP submit) =="
 # The full network deployment, every role a real subprocess: `avfi serve`
 # (HTTP control plane + TCP broker), one `avfi worker` attached over
-# tcp://, an HTTP client submitting the smoke spec and polling to
-# settlement.  The script exits non-zero unless the streamed results are
+# tcp:// with the default poll settings a user gets (its claims wait on
+# the broker server and are woken by a publish), and an HTTP client
+# submitting the smoke spec and long-polling (`?wait=`) to settlement.
+# The script exits non-zero unless the streamed results are
 # byte-identical to a serial run; subprocesses are reaped through the
 # reap_process escalation ladder.
 python examples/service_campaign.py | tee "$SERVICE_DIR/service.txt"

@@ -658,9 +658,13 @@ def cmd_serve(args) -> None:
         service.stop()
 
 
+#: Seconds one ``avfi submit --wait`` status request asks the service to
+#: hold open (the service caps it at 30); the HTTP timeout adds slack.
+_SUBMIT_WAIT_S = 30.0
+
+
 def cmd_submit(args) -> None:
     import json
-    import time
     import urllib.error
     import urllib.request
     from pathlib import Path
@@ -681,12 +685,12 @@ def cmd_submit(args) -> None:
         body["fault_tolerance"] = tolerance.to_dict()
     url = args.url.rstrip("/")
 
-    def call(method: str, path: str, payload: bytes | None = None):
+    def call(method: str, path: str, payload: bytes | None = None, timeout=30.0):
         request = urllib.request.Request(url + path, data=payload, method=method)
         if payload is not None:
             request.add_header("Content-Type", "application/json")
         try:
-            with urllib.request.urlopen(request, timeout=30) as response:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read())
         except urllib.error.HTTPError as exc:
             detail = exc.read().decode(errors="replace")
@@ -707,7 +711,12 @@ def cmd_submit(args) -> None:
 
     last_line = ""
     while True:
-        summary = call("GET", f"/campaigns/{sub_id}")
+        # A long poll: the service answers as soon as the campaign
+        # settles, or after _SUBMIT_WAIT_S with a progress snapshot.
+        summary = call(
+            "GET", f"/campaigns/{sub_id}?wait={_SUBMIT_WAIT_S:g}",
+            timeout=_SUBMIT_WAIT_S + 30.0,
+        )
         counts = summary.get("counts") or {}
         line = f"{summary['state']}: " + ", ".join(
             f"{key}={counts[key]}" for key in sorted(counts)
@@ -717,7 +726,6 @@ def cmd_submit(args) -> None:
             last_line = line
         if summary["state"] in ("done", "failed"):
             break
-        time.sleep(args.poll)
     if summary["state"] == "failed":
         raise SystemExit(f"avfi submit: campaign failed: {summary.get('error', '?')}")
 
@@ -939,7 +947,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="task lease in seconds (heartbeats refresh it; keep it well "
         "above clock skew between machines)",
     )
-    p.add_argument("--poll", type=_positive_float, default=0.5, help="queue poll interval (s)")
+    p.add_argument(
+        "--poll", type=_positive_float, default=0.5,
+        help="longest wait per claim (s); a broker server wakes it at once",
+    )
     p.add_argument(
         "--idle-timeout", type=_positive_float, default=5.0,
         help="exit after the queue has been idle this long (s)",
@@ -1022,11 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--wait", action="store_true",
-        help="poll until the campaign settles, then print the metrics table",
-    )
-    p.add_argument(
-        "--poll", type=_positive_float, default=1.0,
-        help="poll interval while --wait'ing (s)",
+        help="wait until the campaign settles, then print the metrics table",
     )
     p.add_argument(
         "--save", default=None, metavar="PATH",

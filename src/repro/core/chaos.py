@@ -244,9 +244,11 @@ class ChaosBroker:
 
     # -- misbehaving Broker surface ------------------------------------
 
-    def claim(self, worker_id: str, lease_s: float | None = None) -> Claim | None:
+    def claim(
+        self, worker_id: str, lease_s: float | None = None, wait_s: float = 0
+    ) -> Claim | None:
         self._maybe_delay()
-        claim = self.inner.claim(worker_id, lease_s)
+        claim = self.inner.claim(worker_id, lease_s, wait_s)
         if claim is None:
             return None
         if self.drop_claim_p and self.rng.random() < self.drop_claim_p:

@@ -32,6 +32,11 @@ actually improves: every lease and worker heartbeat is stamped with the
 *server's* clock at receipt, so worker clock skew cannot fake (or hide)
 an expiry.
 
+A ``claim`` or ``read_results`` frame may carry ``wait_s``: on a miss,
+the server parks the request until an op on the same root (a publish, a
+requeue, an appended row) wakes it, or until ``wait_s`` passes — the
+hand-off takes one round trip, not a poll period.
+
 Delivery is at-least-once by design — a retried frame whose original
 did execute (response lost to the network) can claim twice or append a
 duplicate row, and the grid fold's identity dedupe absorbs it, exactly
@@ -62,6 +67,7 @@ from urllib.parse import urlsplit
 from .queue import (  # noqa: F401
     _TASK_NAME_RE,
     _WORKER_ID_RE,
+    MAX_WAIT_S,
     Broker,
     BrokerError,
     FilesystemBroker,
@@ -410,6 +416,19 @@ class TcpBroker(Broker):
             f"broker {self.address} unreachable after {self.retries + 1} "
             f"attempts: {last_error!r}"
         )
+
+    def _wait_arg(self, wait_s) -> dict:
+        """As :meth:`Broker._wait_arg`, but a wait the server would serve
+        (it clamps to :data:`MAX_WAIT_S`) must stay under half the socket
+        timeout: a timed-out waiting claim is re-sent, and the server may
+        already have granted the first one."""
+        arg = super()._wait_arg(wait_s)
+        if min(arg.get("wait_s", 0.0), MAX_WAIT_S) > self.timeout_s / 2:
+            raise BrokerError(
+                f"wait_s={wait_s} is not well under this broker's "
+                f"timeout_s={self.timeout_s} (at most half of it)"
+            )
+        return arg
 
     def _inject_pre_send(self, chaos: dict, frame: bytes) -> None:
         if chaos.get("delay_s"):

@@ -63,6 +63,17 @@ mtime is stamped server-side, one clock for everyone.  The
 :class:`~repro.core.netqueue.TcpBroker` removes the caveat entirely:
 the broker server stamps every heartbeat with its own clock.
 
+Hand-offs wait instead of sleeping: ``claim`` and ``read_results`` take a
+``wait_s``, and on a miss they park until another op on the same broker
+root *in this process* publishes, requeues or appends (one wake-up per
+resolved root, shared by every broker instance over it), or until
+``wait_s`` passes.  Behind a
+:class:`~repro.core.netqueue.BrokerServer` — the ``avfi serve`` case,
+whose coordinator runs in the server's process — a published task
+reaches a parked worker, and an appended row reaches the coordinator,
+in one round trip.  Processes that only share a directory are not woken:
+their waits run out after ``poll_s``, the cadence of a poll.
+
 Brokers other than the filesystem one are resolved by
 :func:`~repro.core.netqueue.make_broker` — ``"tcp://host:port"``
 selects a :class:`~repro.core.netqueue.TcpBroker`, which sends each op
@@ -120,6 +131,11 @@ __all__ = [
 #: Wire protocol version, reported by the ``ping`` op.
 PROTOCOL_VERSION = 1
 
+#: Longest one waiting op (``claim``/``read_results`` with ``wait_s``)
+#: parks, whatever the caller asked for: a longer wait would hold a
+#: server thread, and the client's transport timeout, for nothing.
+MAX_WAIT_S = 10.0
+
 
 class BrokerError(RuntimeError):
     """The broker refused or failed an op — a real application error,
@@ -168,6 +184,68 @@ def check_lease_s(lease_s) -> float:
     ):
         raise ValueError(f"lease_s must be a finite number > 0, got {lease_s!r}")
     return float(lease_s)
+
+
+def _check_wait_s(wait_s) -> float:
+    """A wait for a waiting op as a float, if it is finite and >= 0.
+
+    Raises :class:`BrokerError`: an infinite or NaN wait would park a
+    server thread for good, and a negative one means nothing."""
+    if (
+        isinstance(wait_s, bool)
+        or not isinstance(wait_s, numbers.Real)
+        or not math.isfinite(wait_s)
+        or wait_s < 0
+    ):
+        raise BrokerError(f"wait_s must be a finite number >= 0, got {wait_s!r}")
+    return float(wait_s)
+
+
+class _Waker:
+    """The wake-up of one broker root in this process: a generation
+    counter, bumped by every op that makes a task claimable or a result
+    readable, and a condition that waiting ops park on."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.generation = 0
+
+    def bump(self) -> None:
+        with self.cond:
+            self.generation += 1
+            self.cond.notify_all()
+
+    def wait(self, generation: int, timeout: float) -> None:
+        """Park until the generation moves past ``generation`` or
+        ``timeout`` seconds pass."""
+        with self.cond:
+            self.cond.wait_for(lambda: self.generation != generation, timeout)
+
+
+#: One :class:`_Waker` per resolved broker root, not per broker: a
+#: coordinator's own ``FilesystemBroker`` must wake on appends that reach
+#: the same directory through a ``BrokerServer`` in this process.
+_WAKERS: dict[str, _Waker] = {}
+_WAKERS_LOCK = threading.Lock()
+
+
+def _waker_for(key: str) -> _Waker:
+    with _WAKERS_LOCK:
+        waker = _WAKERS.get(key)
+        if waker is None:
+            waker = _WAKERS[key] = _Waker()
+        return waker
+
+
+def _reset_wakers_after_fork() -> None:
+    # A forked child may inherit a condition locked by a thread it does
+    # not have; it shares no threads with its parent, so start afresh.
+    global _WAKERS_LOCK
+    _WAKERS_LOCK = threading.Lock()
+    _WAKERS.clear()
+
+
+os.register_at_fork(after_in_child=_reset_wakers_after_fork)
 
 
 def _b64(blob: bytes) -> str:
@@ -319,9 +397,22 @@ class Broker:
                 return None
             time.sleep(0.1)
 
-    def claim(self, worker_id: str, lease_s: float | None = None) -> Claim | None:
-        """Atomically take one pending task, or ``None`` if queue is empty."""
-        result = self._call("claim", {"worker_id": worker_id, "lease_s": lease_s})
+    def _wait_arg(self, wait_s) -> dict:
+        """The ``wait_s`` arg of a waiting op, only when it is > 0, so a
+        frame that does not wait stays byte-identical to one sent before
+        waits existed."""
+        wait_s = _check_wait_s(wait_s)
+        return {"wait_s": wait_s} if wait_s > 0 else {}
+
+    def claim(
+        self, worker_id: str, lease_s: float | None = None, wait_s: float = 0
+    ) -> Claim | None:
+        """Atomically take one pending task, or ``None`` if the queue is
+        empty — after waiting up to ``wait_s`` for a task to arrive."""
+        result = self._call(
+            "claim",
+            {"worker_id": worker_id, "lease_s": lease_s, **self._wait_arg(wait_s)},
+        )
         if result is None:
             return None
         return Claim(
@@ -400,9 +491,14 @@ class Broker:
         episode)."""
         self._call("append_row", {"row": failure.to_dict()})
 
-    def read_results(self, offset: int) -> tuple[int, list[RunRecord]]:
-        """New complete records past ``offset``; returns the next offset."""
-        result = self._call("read_results", {"offset": int(offset)})
+    def read_results(
+        self, offset: int, wait_s: float = 0
+    ) -> tuple[int, list[RunRecord]]:
+        """New complete records past ``offset``, waiting up to ``wait_s``
+        for a line to land; returns the next offset."""
+        result = self._call(
+            "read_results", {"offset": int(offset), **self._wait_arg(wait_s)}
+        )
         records = _parse_rows(result["rows"], lambda row: RunRecord(**row))
         return int(result["offset"]), records
 
@@ -479,6 +575,8 @@ class FilesystemBroker(Broker):
         #: Optional archived CampaignSpec (JSON) — written by publish()
         #: when the campaign came from a declarative spec.
         self.spec_path = self.root / "spec.json"
+        #: Which :class:`_Waker` this root's ops bump and wait on.
+        self._wake_key = os.path.realpath(self.root)
 
     def _call(self, op: str, args: dict | None = None):
         handler = getattr(self, f"op_{op}", None)
@@ -501,6 +599,29 @@ class FilesystemBroker(Broker):
 
     def _lease_path(self, name: str) -> Path:
         return self.leases_dir / f"{Path(name).stem}.json"
+
+    def _wake(self) -> None:
+        """Wake this process's waiting ops on this root.  Processes that
+        share the directory are not woken: their waits run out."""
+        _waker_for(self._wake_key).bump()
+
+    def _wait_for(self, attempt, wait_s):
+        """``attempt()`` until it returns something other than ``None``,
+        parked between tries until an op on this root wakes it, for up
+        to ``wait_s`` (clamped to :data:`MAX_WAIT_S`) in all."""
+        waker = _waker_for(self._wake_key)
+        deadline = time.monotonic() + min(_check_wait_s(wait_s), MAX_WAIT_S)
+        while True:
+            # Read before the attempt: a wake that lands between the
+            # attempt and the park moves the generation, so it is not lost.
+            generation = waker.generation
+            result = attempt()
+            if result is not None:
+                return result
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            waker.wait(generation, remaining)
 
     def op_ping(self) -> dict:
         return {
@@ -576,6 +697,7 @@ class FilesystemBroker(Broker):
             if name in existing or name in claimed:
                 continue
             _write_atomic(self.tasks_dir / name, blob)
+        self._wake()
 
     def op_manifest(self) -> dict | None:
         try:
@@ -595,6 +717,8 @@ class FilesystemBroker(Broker):
                 continue
             (self.failed_dir / f"{name}.error.json").unlink(missing_ok=True)
             recovered.append(name)
+        if recovered:
+            self._wake()
         return recovered
 
     def op_quarantine(self, name: str) -> None:
@@ -646,11 +770,17 @@ class FilesystemBroker(Broker):
         except FileNotFoundError:
             return None
 
-    def op_claim(self, worker_id: str, lease_s: float | None = None) -> dict | None:
+    def op_claim(
+        self, worker_id: str, lease_s: float | None = None, wait_s: float = 0
+    ) -> dict | None:
         """Atomically take one pending task, with its lease already
-        written; the task blob stays opaque."""
+        written; the task blob stays opaque.  On an empty queue, wait up
+        to ``wait_s`` for a publish or requeue on this root."""
         _check_worker_id(worker_id)
         lease_s = self.lease_s if lease_s is None else check_lease_s(lease_s)
+        return self._wait_for(lambda: self._claim_once(worker_id, lease_s), wait_s)
+
+    def _claim_once(self, worker_id: str, lease_s: float) -> dict | None:
         for name in self._list(self.tasks_dir):
             claimed = self.claimed_dir / name
             try:
@@ -737,6 +867,7 @@ class FilesystemBroker(Broker):
                 }
             ).encode(),
         )
+        self._wake()
 
     def op_heartbeat_worker(
         self,
@@ -847,6 +978,8 @@ class FilesystemBroker(Broker):
             except FileNotFoundError:
                 continue  # finished (or requeued) concurrently
             requeued.append(name)
+        if requeued:
+            self._wake()
         return requeued
 
     def op_live_leases(self) -> int:
@@ -874,6 +1007,7 @@ class FilesystemBroker(Broker):
 
     def op_append_row(self, row: dict) -> None:
         append_jsonl_line(self.results_path, row)
+        self._wake()
 
     def op_checkpoint_rows(self) -> dict:
         records, failures = load_checkpoint_rows(self.results_path)
@@ -882,29 +1016,41 @@ class FilesystemBroker(Broker):
             "failures": [f.to_dict() for f in failures],
         }
 
-    def op_read_results(self, offset: int = 0) -> dict:
-        """Complete lines past ``offset``; a trailing partial line (an
-        append in flight on another machine) stays unread until next poll.
-        Lines that don't parse as records are skipped — foreign rows never
-        match a grid identity anyway."""
+    def op_read_results(self, offset: int = 0, wait_s: float = 0) -> dict:
+        """Complete lines past ``offset``, waiting up to ``wait_s`` for an
+        append on this root when there is none yet; a trailing partial
+        line (an append in flight on another machine) stays unread until
+        the next read.  Lines that don't parse as records are skipped —
+        foreign rows never match a grid identity anyway."""
         offset = int(offset)
+        return self._wait_for(lambda: self._read_results_once(offset), wait_s) or {
+            "offset": offset,
+            "rows": [],
+        }
+
+    def _read_results_once(self, offset: int) -> dict | None:
         try:
             with open(self.results_path, "rb") as fh:
                 fh.seek(offset)
                 data = fh.read()
         except FileNotFoundError:
-            return {"offset": offset, "rows": []}
+            return None
         end = data.rfind(b"\n")
         if end < 0:
-            return {"offset": offset, "rows": []}
+            return None
         rows = []
         for line in data[:end].split(b"\n"):
             if not line.strip():
                 continue
             try:
-                rows.append(RunRecord(**json.loads(line)).to_dict())
+                row = json.loads(line)
+                # Validate with the constructor and ship the parsed row:
+                # the reader's RunRecord(**row) rebuilds the same record
+                # that re-serialising it here would have sent.
+                RunRecord(**row)
             except (json.JSONDecodeError, TypeError):
                 continue
+            rows.append(row)
         return {"offset": offset + end + 1, "rows": rows}
 
     # -- artifacts (content-addressed warm-start blobs) ----------------
@@ -1019,6 +1165,11 @@ def run_worker(
     record/failure then retires the claim.  Output stays
     byte-identical to single-task draining.
 
+    ``poll_s`` is the longest the first claim of a cycle waits for a
+    task: a broker server wakes it as soon as one is published or
+    requeued, and over a shared directory it runs out, so the loop polls
+    at that period.
+
     Exits once ``tasks/`` and ``claimed/`` have stayed empty for
     ``idle_timeout`` seconds — i.e. nothing is pending and no live lease
     could still expire back into the queue.  Returns the number of
@@ -1105,7 +1256,9 @@ def _drain(
         if now - last_scan >= scan_interval:
             broker.requeue_expired()
             last_scan = now
-        claim = broker.claim(worker_id, lease_s)
+        # The cycle's first claim waits for work: a broker server wakes
+        # it the moment a task is published or requeued.
+        claim = broker.claim(worker_id, lease_s, wait_s=poll_s)
         if claim is None:
             if broker.is_idle():
                 if idle_since is None:
@@ -1114,7 +1267,6 @@ def _drain(
                     break
             else:
                 idle_since = None
-            time.sleep(poll_s)
             continue
         idle_since = None
         # A long-lived worker can outlive the campaign it attached to: a
@@ -1144,6 +1296,8 @@ def _drain(
         if max_tasks is not None:
             slot = max(1, min(slot, max_tasks - done))
         claims = [claim]
+        # Slot-filling claims never wait: the lease keepers of the claims
+        # already held start only once the slot is full.
         while len(claims) < slot:
             extra = broker.claim(worker_id, lease_s)
             if extra is None:
@@ -1225,12 +1379,15 @@ class QueueExecutor:
 
     :meth:`run` publishes the pending grid into the broker, optionally
     spawns ``workers`` local drain processes (so ``executor="queue"``
-    works standalone on one machine), then polls the shared results
+    works standalone on one machine), then reads the shared results
     checkpoint and yields ``(task, record)`` pairs as remote workers land
     them — the campaign folds these back into grid order exactly as with
-    the in-process executors.  Expired leases are requeued from the
-    coordinator as well, so a campaign survives worker deaths even when
-    every other worker is busy.
+    the in-process executors.  Each read waits up to ``poll_s`` for the
+    next row; an append through a broker in this process (the
+    ``avfi serve`` case) wakes it at once, so ``poll_s`` bounds only the
+    cadence against workers that share a directory.  Expired leases are
+    requeued from the coordinator as well, so a campaign survives worker
+    deaths even when every other worker is busy.
 
     The broker's ``results.jsonl`` *is* the campaign checkpoint: the
     campaign adopts it (``checkpoint_path``) and skips its own appends,
@@ -1359,7 +1516,10 @@ class QueueExecutor:
         last_scan = float("-inf")
         try:
             while pending and not stop.is_set():
-                offset, fresh = self.broker.read_results(offset)
+                # Waits for the next appended row; an append through a
+                # broker in this process (a BrokerServer on the same
+                # root) wakes it at once.
+                offset, fresh = self.broker.read_results(offset, wait_s=self.poll_s)
                 progressed = False
                 for record in fresh:
                     identity = record_identity(record)
@@ -1426,7 +1586,6 @@ class QueueExecutor:
                         f"worker lease for {self.stall_timeout:.0f}s "
                         f"({len(pending)} pending; queue dir: {self.queue_dir})"
                     )
-                time.sleep(self.poll_s)
         finally:
             # Escalating shutdown: terminate, grace, kill, reap.  A drain
             # worker wedged in uninterruptible I/O used to be silently

@@ -14,7 +14,9 @@ tcp://host:port``) and one small HTTP API in front of it:
                            whose body carries the path-anchored
                            :class:`~repro.core.spec.SpecError` message
 ``GET  /campaigns``        all submissions, newest last
-``GET  /campaigns/<id>``   one submission's state + outcome counts
+``GET  /campaigns/<id>``   one submission's state + outcome counts;
+                           ``?wait=<s>`` first blocks until it settles
+                           or min(s, 30) seconds pass (a long poll)
 ``GET  /campaigns/<id>/episodes``
                            per-episode status in grid order, each one
                            of the :class:`~repro.core.outcomes.EpisodeOutcome`
@@ -52,12 +54,14 @@ to localhost or a trusted network only, never the open internet.
 from __future__ import annotations
 
 import json
+import math
 import queue as queue_module
 import threading
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
 
 from .outcomes import EpisodeOutcome, FaultTolerancePolicy
 from .queue import check_lease_s
@@ -74,6 +78,9 @@ _ENVELOPE_KEYS = {"spec", "workers", "lease_s", "fault_tolerance", "episodes_per
 #: even on the trusted network the service is documented for.
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
+#: Longest ``GET /campaigns/<id>?wait=<s>`` holds a request open.
+MAX_STATUS_WAIT_S = 30.0
+
 
 class _BodyTooLarge(Exception):
     """Request body exceeds :data:`MAX_BODY_BYTES` — rendered as 413."""
@@ -88,8 +95,8 @@ class Submission:
     """One submitted campaign and everything the API reports about it.
 
     ``state`` walks ``queued -> running -> done | failed``; ``settled``
-    is set on either terminal state (pollers wait on the HTTP API, tests
-    wait on the event).
+    is set on either terminal state (``GET /campaigns/<id>?wait=`` and
+    tests wait on the event).
     """
 
     def __init__(self, sub_id: str, spec: CampaignSpec, overrides: dict):
@@ -165,6 +172,11 @@ class CampaignService:
     a submission doesn't say otherwise; ``0`` (the default) means the
     service only coordinates and real work waits for workers attached
     over TCP (``avfi worker --queue-dir <service.broker_address>``).
+
+    Hand-offs are event-driven: the run loop's coordinator shares this
+    process with the broker server, so a row a worker appends over TCP
+    wakes its results read at once, and a publish wakes a worker parked
+    in a waiting claim.  ``poll_s`` is only the longest such wait.
     """
 
     def __init__(
@@ -506,6 +518,23 @@ class _ControlPlaneHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._send_json(413, {"error": str(exc)})
 
+    def _status_wait_or_400(self) -> float | None:
+        """The ``wait`` query parameter in seconds (0 when absent), or
+        ``None`` after answering 400 for a malformed one."""
+        values = parse_qs(urlsplit(self.path).query).get("wait")
+        if not values:
+            return 0.0
+        try:
+            wait_s = float(values[-1])
+        except ValueError:
+            wait_s = math.nan
+        if not math.isfinite(wait_s) or wait_s < 0:
+            self._send_json(
+                400, {"error": f"wait must be a finite number >= 0, got {values[-1]!r}"}
+            )
+            return None
+        return min(wait_s, MAX_STATUS_WAIT_S)
+
     def _submission_or_404(self, sub_id: str):
         sub = self.server.service.get(sub_id)
         if sub is None:
@@ -531,8 +560,12 @@ class _ControlPlaneHandler(BaseHTTPRequestHandler):
                 200, {"campaigns": [service.summary(s) for s in service.submissions()]}
             )
         elif parts[0] == "campaigns" and len(parts) == 2:
+            wait_s = self._status_wait_or_400()
+            if wait_s is None:
+                return
             sub = self._submission_or_404(parts[1])
             if sub is not None:
+                sub.settled.wait(wait_s)
                 self._send_json(200, service.summary(sub))
         elif parts[0] == "campaigns" and len(parts) == 3 and parts[2] == "episodes":
             sub = self._submission_or_404(parts[1])

@@ -18,7 +18,10 @@ files, which a remote broker cannot offer):
 * the results checkpoint appends durably, reads back incrementally by
   offset, and discriminates records from failure rows;
 * the campaign context and manifest survive publish/load;
-* worker heartbeats surface through ``workers()`` with a sane age.
+* worker heartbeats surface through ``workers()`` with a sane age;
+* a waiting ``claim``/``read_results`` (``wait_s``) returns as soon as
+  another thread publishes or appends, runs out after ``wait_s`` on
+  nothing, and refuses an unbounded or negative wait.
 
 Usage: subclass :class:`BrokerConformanceSuite` in a ``test_*`` module
 and provide two fixtures —
@@ -41,6 +44,7 @@ import pytest
 
 from repro.core.campaign import RunRecord
 from repro.core.outcomes import EpisodeFailure
+from repro.core.queue import BrokerError
 
 __all__ = ["BrokerConformanceSuite", "record_for", "failure_for"]
 
@@ -282,3 +286,64 @@ class BrokerConformanceSuite:
         assert rows[0]["episodes_done"] == 3
         assert rows[0]["age_s"] is not None
         assert rows[0]["age_s"] < 30.0
+
+    # -- waiting ops ---------------------------------------------------
+
+    @staticmethod
+    def _after(delay_s, action):
+        """Run ``action()`` on a thread after ``delay_s``; returns a
+        ``finish()`` that joins the thread and gives the monotonic time
+        the action returned."""
+        done = {}
+
+        def run():
+            time.sleep(delay_s)
+            action()
+            done["at"] = time.monotonic()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+
+        def finish() -> float:
+            thread.join(timeout=30)
+            assert not thread.is_alive() and "at" in done, "the action never finished"
+            return done["at"]
+
+        return finish
+
+    def test_waiting_claim_wakes_on_publish(self, make_broker, material):
+        context, tasks = material
+        waiter = make_broker(self.LEASE_S)
+        publisher = make_broker(self.LEASE_S)
+        finish = self._after(0.3, lambda: publisher.publish(context, tasks))
+        claim = waiter.claim("patient", wait_s=5.0)
+        returned = time.monotonic()
+        published = finish()
+        assert claim is not None, "the waiting claim got the published task"
+        assert returned - published < 1.0, "woken by the publish, not the timeout"
+
+    def test_waiting_claim_on_empty_queue_runs_out(self, make_broker):
+        broker = make_broker(self.LEASE_S)
+        start = time.monotonic()
+        assert broker.claim("patient", wait_s=0.3) is None
+        assert time.monotonic() - start >= 0.3
+
+    def test_waiting_read_results_wakes_on_append(self, broker, make_broker, material):
+        _, tasks = material
+        appender = make_broker(self.LEASE_S)
+        record = record_for(tasks[0])
+        finish = self._after(0.3, lambda: appender.append_result(record))
+        offset, rows = broker.read_results(0, wait_s=5.0)
+        returned = time.monotonic()
+        appended = finish()
+        assert [r.to_dict() for r in rows] == [record.to_dict()]
+        assert offset > 0
+        assert returned - appended < 1.0, "woken by the append, not the timeout"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_unbounded_or_negative_wait_is_refused(self, broker, bad):
+        with pytest.raises(BrokerError, match="wait_s"):
+            broker.claim("impatient", wait_s=bad)
+        with pytest.raises(BrokerError, match="wait_s"):
+            broker.read_results(0, wait_s=bad)
+        assert broker.status()["claimed"] == 0, "a refused claim takes nothing"

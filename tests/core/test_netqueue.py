@@ -27,8 +27,10 @@ from repro.core import (
     run_worker,
     standard_scenarios,
 )
+from repro.core.chaos import NetworkChaos
 from repro.core.faults import OutputDelay
 from repro.core.netqueue import (
+    MAX_WAIT_S,
     BrokerError,
     BrokerServer,
     FrameError,
@@ -350,6 +352,49 @@ class TestLeaseBounds:
         )
 
 
+class TestWaitBounds:
+    """A waiting op parks a server thread: the server refuses a wait
+    that is unbounded or negative, and the client refuses one its own
+    socket timeout could cut short (a re-sent claim would be granted
+    twice)."""
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0, True])
+    def test_server_refuses_unbounded_waits(self, server, bad):
+        broker = make_broker(server.address)
+        for op, args in (("claim", {"worker_id": "w"}), ("read_results", {"offset": 0})):
+            with pytest.raises(BrokerError, match="wait_s"):
+                broker._call(op, dict(args, wait_s=bad))
+
+    def test_client_refuses_a_wait_near_its_timeout(self, server):
+        host, port = parse_tcp_url(server.address)
+        broker = TcpBroker(host, port, timeout_s=1.0)
+        with pytest.raises(BrokerError, match="timeout_s"):
+            broker.claim("w", wait_s=0.6)
+        with pytest.raises(BrokerError, match="timeout_s"):
+            broker.read_results(0, wait_s=0.6)
+        assert broker.claim("w", wait_s=0.1) is None
+
+    def test_frames_without_a_wait_are_unchanged(self, monkeypatch):
+        sent = []
+
+        def record(op, args=None):
+            sent.append((op, args))
+            return {"offset": 7, "rows": []} if op == "read_results" else None
+
+        broker = TcpBroker("127.0.0.1", 1)
+        monkeypatch.setattr(broker, "_call", record)
+        broker.claim("w")
+        broker.claim("w", lease_s=5.0, wait_s=0)
+        broker.read_results(7)
+        broker.claim("w", wait_s=0.5)
+        assert sent == [
+            ("claim", {"worker_id": "w", "lease_s": None}),
+            ("claim", {"worker_id": "w", "lease_s": 5.0}),
+            ("read_results", {"offset": 7}),
+            ("claim", {"worker_id": "w", "lease_s": None, "wait_s": 0.5}),
+        ]
+
+
 # ----------------------------------------------------------------------
 # Client plumbing
 # ----------------------------------------------------------------------
@@ -509,4 +554,81 @@ class TestTcpAcceptance:
         result = coordinator.finish()
         for proc in workers:
             proc.join(timeout=60)
+        assert _dicts(result) == serial_dicts
+
+
+# ----------------------------------------------------------------------
+# Waiting claims under transport chaos
+# ----------------------------------------------------------------------
+
+
+def _drop_first_response_chaos() -> NetworkChaos:
+    """A seeded :class:`NetworkChaos` whose first attempt loses its
+    response and whose second goes through — found by scanning seeds,
+    so the schedule is fixed."""
+    for seed in range(1000):
+        probe = NetworkChaos(seed=seed, drop_after_p=0.5)
+        if probe.plan()["drop_after"] and not probe.plan()["drop_after"]:
+            return NetworkChaos(seed=seed, drop_after_p=0.5)
+    raise AssertionError("no seed drops exactly the first response")
+
+
+class TestWaitingClaims:
+    def test_stop_returns_while_a_client_waits(self, tmp_path):
+        server = BrokerServer(tmp_path / "queue", port=0).start()
+        parked = threading.Thread(
+            target=make_broker(server.address).claim,
+            args=("parked",),
+            kwargs={"wait_s": 1.5},
+            daemon=True,
+        )
+        parked.start()
+        time.sleep(0.3)  # the claim is parked on the server by now
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < MAX_WAIT_S
+        assert parked.is_alive(), "stop() did not wait out the parked claim"
+        parked.join(timeout=10.0)
+        assert not parked.is_alive()
+
+    def test_dropped_response_to_a_granted_waiting_claim_matches_serial(
+        self, builder, scenarios, serial_dicts, server
+    ):
+        """A waiting claim is granted on the server, and its response is
+        lost: the client re-sends it and is granted a second task.  The
+        first task's lease (no one heartbeats it) expires back into the
+        queue, and the folded campaign is byte-identical to serial."""
+        victim = make_broker(server.address, lease_s=0.5)
+        victim.chaos = _drop_first_response_chaos()
+        granted = []
+        waiting = threading.Thread(
+            target=lambda: granted.append(
+                victim.claim("victim", lease_s=0.5, wait_s=5.0)
+            ),
+            daemon=True,
+        )
+        waiting.start()
+        time.sleep(0.3)  # both claims park before the publish wakes them
+        coordinator = _CoordinatorThread(
+            _campaign(
+                builder, scenarios,
+                executor=_queue_executor(server.address, lease_s=1.5),
+            )
+        )
+        coordinator.start()
+        waiting.join(timeout=30)
+        assert not waiting.is_alive()
+        assert granted and granted[0] is not None
+        fs = server.broker
+        # The lost grant and the re-sent one: two claims, one abandoned
+        # (the victim never runs or releases either).
+        assert len(fs.claimed_names()) == 2
+        healthy = _spawn_worker(server.address, "healthy", lease_s=1.5)
+        result = coordinator.finish()
+        healthy.join(timeout=60)
+        identities = [
+            (r.injector, r.scenario, r.seed, r.config_fingerprint)
+            for r in result.records
+        ]
+        assert len(set(identities)) == len(identities)
         assert _dicts(result) == serial_dicts

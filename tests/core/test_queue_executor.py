@@ -325,6 +325,54 @@ class TestLeases:
         assert os.listdir(broker.leases_dir) == []
 
 
+class TestWaitingClaimStress:
+    def test_every_parked_claim_wakes_and_each_task_goes_once(
+        self, builder, scenarios, tmp_path
+    ):
+        """More waiting claimers than cores and than tasks, on separate
+        broker instances over one root, with a short switch interval: the
+        publish wakes them all at once, each task is claimed exactly
+        once, and every winner returns promptly — a lost wake-up would
+        leave a winner parked until its wait runs out."""
+        import sys
+
+        runner = _campaign(builder, scenarios)
+        tasks = runner.tasks()
+        n_waiters = 3 * len(tasks)
+        results = [None] * n_waiters
+        returned = [0.0] * n_waiters
+        started = threading.Barrier(n_waiters + 1)
+
+        def wait_for_task(i):
+            broker = FilesystemBroker(tmp_path / "q")
+            started.wait(timeout=10)
+            results[i] = broker.claim(f"w{i}", wait_s=4.0)
+            returned[i] = time.monotonic()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=wait_for_task, args=(i,), daemon=True)
+                for i in range(n_waiters)
+            ]
+            for t in threads:
+                t.start()
+            started.wait(timeout=10)
+            time.sleep(0.2)  # let every claimer park
+            FilesystemBroker(tmp_path / "q").publish(runner.context(), tasks)
+            published = time.monotonic()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        winners = [i for i, claim in enumerate(results) if claim is not None]
+        names = [results[i].name for i in winners]
+        assert len(names) == len(tasks) and len(set(names)) == len(tasks)
+        assert max(returned[i] for i in winners) - published < 1.0
+
+
 class TestCheckpointRecovery:
     def test_duplicate_identity_rows_dedupe(self, builder, scenarios, tmp_path):
         """Two records for one identity (lease expired after the worker

@@ -7,8 +7,10 @@ poll until settled, and the streamed JSONL results are byte-identical to
 what a serial ``avfi run`` of the same spec produces.
 """
 
+import copy
 import hashlib
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import repro.core.service as service_module
-from repro.core import Campaign
+from repro.cli import main as cli_main
+from repro.core import Campaign, run_worker
 from repro.core.service import CampaignService, Submission
 from repro.core.spec import CampaignSpec
 
@@ -151,6 +154,125 @@ class TestHappyPath:
         assert status == 200
         ids = [c["id"] for c in payload["campaigns"]]
         assert settled_id in ids
+
+
+class TestSubmitCli:
+    def test_submit_wait_long_polls_to_the_metrics_table(
+        self, service, settled_id, tmp_path, capsys, expected_jsonl
+    ):
+        """``avfi submit --wait`` against the live service: the smoke
+        spec settles from the result cache, and the saved rows are the
+        serial bytes."""
+        saved = tmp_path / "results.jsonl"
+        cli_main(
+            ["submit", str(SMOKE), "--url", service.url, "--wait", "--save", str(saved)]
+        )
+        out = capsys.readouterr().out
+        assert "done: ok=3" in out
+        assert "MSR_%" in out
+        assert saved.read_bytes() == expected_jsonl
+
+    def test_submit_poll_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["submit", str(SMOKE), "--wait", "--poll", "1"])
+        assert "--poll" in capsys.readouterr().err
+
+
+class TestLongPoll:
+    """``GET /campaigns/<id>?wait=<s>`` holds the request until the
+    submission settles (or the wait runs out), so a client learns of a
+    settle when it happens, not at its next poll."""
+
+    @pytest.fixture
+    def idle_service(self, tmp_path):
+        service = CampaignService(tmp_path / "svc", port=0).start()
+        yield service
+        service.stop()
+
+    @staticmethod
+    def _park(service, smoke_payload) -> Submission:
+        """A submission the run loop never sees: the test settles it."""
+        sub = Submission("c0042", CampaignSpec.from_dict(smoke_payload), {})
+        with service._lock:
+            service._submissions[sub.id] = sub
+            service._order.append(sub.id)
+        return sub
+
+    def test_returns_promptly_when_the_campaign_settles(
+        self, idle_service, smoke_payload
+    ):
+        sub = self._park(idle_service, smoke_payload)
+
+        def settle():
+            time.sleep(0.3)
+            sub.state = "done"
+            sub.settled.set()
+
+        threading.Thread(target=settle, daemon=True).start()
+        start = time.monotonic()
+        status, summary, _ = _request(f"{idle_service.url}/campaigns/{sub.id}?wait=20")
+        elapsed = time.monotonic() - start
+        assert status == 200
+        assert summary["state"] == "done"
+        assert 0.3 <= elapsed < 2.0
+
+    def test_runs_out_with_the_current_state(self, idle_service, smoke_payload):
+        sub = self._park(idle_service, smoke_payload)
+        start = time.monotonic()
+        status, summary, _ = _request(f"{idle_service.url}/campaigns/{sub.id}?wait=0.3")
+        assert status == 200
+        assert summary["state"] == "queued"
+        assert time.monotonic() - start >= 0.3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "soon"])
+    def test_malformed_wait_is_400(self, idle_service, smoke_payload, bad):
+        sub = self._park(idle_service, smoke_payload)
+        status, body, _ = _request(f"{idle_service.url}/campaigns/{sub.id}?wait={bad}")
+        assert status == 400
+        assert "wait" in body["error"]
+
+
+class TestEventDrivenHandOff:
+    def test_back_to_back_submissions_settle_within_a_fraction_of_poll_s(
+        self, tmp_path, smoke_payload
+    ):
+        """With 5 s poll periods on both sides, hand-offs still take
+        milliseconds: the publish wakes the worker's waiting claim, and
+        each appended row wakes the coordinator's results read.  Polling
+        would put a 5 s sleep into every settle."""
+        service = CampaignService(
+            tmp_path / "svc", port=0, default_workers=0, poll_s=5.0
+        ).start()
+        second = copy.deepcopy(smoke_payload)
+        second["execution"]["base_seed"] = 1  # new episodes, not cache hits
+        worker = threading.Thread(
+            target=run_worker,
+            kwargs=dict(
+                queue_dir=service.broker_address,
+                worker_id="latency",
+                poll_s=5.0,
+                idle_timeout=60.0,
+                max_tasks=6,  # both submissions: 2 x (1 scenario x 3 injectors)
+            ),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            for payload in (smoke_payload, second):
+                start = time.monotonic()
+                status, summary, _ = _request(
+                    f"{service.url}/campaigns", method="POST", payload=payload
+                )
+                assert status == 201, summary
+                final = _poll_settled(service.url, summary["id"], timeout=60.0)
+                settle_s = time.monotonic() - start
+                assert final["state"] == "done", final
+                assert final["counts"] == {"ok": 3}
+                assert settle_s < 2.5, f"{summary['id']} took {settle_s:.2f}s"
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), "the worker stops after max_tasks"
+        finally:
+            service.stop()
 
 
 class TestRejection:
