@@ -19,7 +19,12 @@
 # setup: a fresh TownTexture of the benchmark town must build >= 5x faster
 # than the whole-grid reference rasteriser, recorded in
 # benchmarks/results/BENCH_scene_setup.json
-# (see benchmarks/test_bench_scene_setup.py).
+# (see benchmarks/test_bench_scene_setup.py).  And it gates route queries:
+# the expert's per-frame route queries must cost >= 2x less than the NumPy
+# reference path that scans on every query, alternating in one process,
+# recorded with the per-phase frame costs of the smoke and dense scenes in
+# benchmarks/results/BENCH_frame_cost.json
+# (see benchmarks/test_bench_frame_cost.py).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -67,7 +68,7 @@ class Route:
                     ]
                 ),
             ]
-        )
+        ).tolist()
 
     @property
     def length(self) -> float:
@@ -81,7 +82,7 @@ class Route:
     def command_at(self, position: Vec2) -> Command:
         """The command in force at the route point nearest ``position``."""
         station, _ = self.polyline.locate(position)
-        idx = int(np.searchsorted(self._stations, station, side="right") - 1)
+        idx = bisect_right(self._stations, station) - 1
         idx = min(max(idx, 0), len(self.commands) - 1)
         return self.commands[idx]
 

@@ -184,10 +184,59 @@ def make_broker(
 # ----------------------------------------------------------------------
 
 
+class _ServedBroker(FilesystemBroker):
+    """The broker a :class:`BrokerServer` runs ops on: a
+    :class:`~repro.core.queue.FilesystemBroker` that can be closed.
+
+    :meth:`close` refuses every later op and waits out the ops running.
+    An op parked in a wait is not running: it returns its empty answer
+    if it wakes into a closed broker, so once :meth:`close` returns,
+    nothing touches the root.
+    """
+
+    def __init__(self, root: str | Path, lease_s: float = 60.0):
+        super().__init__(root, lease_s=lease_s)
+        self._gate = threading.Condition()
+        self._running = 0
+        self._closed = False
+
+    def _call(self, op: str, args: dict | None = None):
+        with self._gate:
+            if self._closed:
+                raise BrokerError("the broker server is stopped")
+            self._running += 1
+        try:
+            return super()._call(op, args)
+        finally:
+            self._leave()
+
+    def _leave(self) -> None:
+        with self._gate:
+            self._running -= 1
+            if not self._running:
+                self._gate.notify_all()
+
+    def _park(self, waker, generation: int, timeout: float) -> bool:
+        self._leave()
+        try:
+            waker.wait(generation, timeout)
+        finally:
+            with self._gate:
+                self._running += 1
+                closed = self._closed
+        return not closed
+
+    def close(self, timeout: float = 10.0) -> None:
+        with self._gate:
+            self._closed = True
+            self._gate.wait_for(lambda: not self._running, timeout)
+
+
 class _BrokerRequestHandler(socketserver.BaseRequestHandler):
     """One connection: a loop of request frame → response frame.  A torn
     frame or transport error drops the connection; the client retries on
-    a fresh one (at-least-once)."""
+    a fresh one (at-least-once).  Once the server stops, the connection
+    closes after the reply in flight."""
 
     def handle(self) -> None:
         sock = self.request
@@ -195,15 +244,20 @@ class _BrokerRequestHandler(socketserver.BaseRequestHandler):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
+        server = self.server
         while True:
+            if not server._idle(sock, True):
+                return  # stopped: closed without reading another request
             try:
                 frame = recv_frame(sock)
             except (FrameError, OSError):
                 return  # torn/corrupt frame: the request never happened
+            finally:
+                server._idle(sock, False)
             if frame is None:
                 return  # clean EOF
             try:
-                result = self.server.dispatch(frame)
+                result = server.dispatch(frame)
                 response = {"ok": True, "result": result}
             except Exception as exc:  # noqa: BLE001 — relayed to the client
                 response = {
@@ -245,10 +299,15 @@ class BrokerServer(socketserver.ThreadingTCPServer):
         port: int = 0,
         lease_s: float = 60.0,
     ):
-        self.broker = FilesystemBroker(root, lease_s=lease_s)
+        self.broker = _ServedBroker(root, lease_s=lease_s)
         self.broker.ensure_layout()
         self.broker.repair_results()
         self._serve_thread: threading.Thread | None = None
+        #: Sockets of connections waiting for their next request, and
+        #: whether stop() ran (both under ``_conn_lock``).
+        self._idle_socks: set[socket.socket] = set()
+        self._stopped = False
+        self._conn_lock = threading.Lock()
         super().__init__((host, port), _BrokerRequestHandler)
 
     @property
@@ -268,11 +327,40 @@ class BrokerServer(socketserver.ThreadingTCPServer):
         return self
 
     def stop(self) -> None:
+        """Stop serving: no op reaches the root once this returns.
+
+        The listener closes, ops running finish, and later ones are
+        refused.  A connection waiting for its next request is closed.
+        One whose op is parked in a wait (a waiting claim, say) gets that
+        op's empty answer when the wait ends, without the op touching
+        the root, and then closes; ``stop()`` does not wait for it.
+        """
+        with self._conn_lock:
+            self._stopped = True
+            idle = list(self._idle_socks)
         self.shutdown()
         self.server_close()
+        self.broker.close()
+        for sock in idle:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
+
+    def _idle(self, sock: socket.socket, waiting: bool) -> bool:
+        """Mark a connection as waiting for a request (or not); ``False``
+        once the server is stopped."""
+        with self._conn_lock:
+            if waiting:
+                if self._stopped:
+                    return False
+                self._idle_socks.add(sock)
+            else:
+                self._idle_socks.discard(sock)
+            return True
 
     # -- dispatch ------------------------------------------------------
 

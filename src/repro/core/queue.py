@@ -605,10 +605,12 @@ class FilesystemBroker(Broker):
         share the directory are not woken: their waits run out."""
         _waker_for(self._wake_key).bump()
 
-    def _wait_for(self, attempt, wait_s):
+    def _wait_for(self, attempt, wait_s, until_result: bool = True):
         """``attempt()`` until it returns something other than ``None``,
         parked between tries until an op on this root wakes it, for up
-        to ``wait_s`` (clamped to :data:`MAX_WAIT_S`) in all."""
+        to ``wait_s`` (clamped to :data:`MAX_WAIT_S`) in all.  With
+        ``until_result`` false it tries once more after the first wake
+        and returns whatever that gives."""
         waker = _waker_for(self._wake_key)
         deadline = time.monotonic() + min(_check_wait_s(wait_s), MAX_WAIT_S)
         while True:
@@ -621,7 +623,17 @@ class FilesystemBroker(Broker):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-            waker.wait(generation, remaining)
+            if not self._park(waker, generation, remaining):
+                return None
+            if not until_result:
+                return attempt()
+
+    def _park(self, waker: _Waker, generation: int, timeout: float) -> bool:
+        """Wait for a wake past ``generation`` or ``timeout``; whether the
+        waiting op may try again (a served broker that was closed in the
+        meantime says no)."""
+        waker.wait(generation, timeout)
+        return True
 
     def op_ping(self) -> dict:
         return {
@@ -1017,16 +1029,18 @@ class FilesystemBroker(Broker):
         }
 
     def op_read_results(self, offset: int = 0, wait_s: float = 0) -> dict:
-        """Complete lines past ``offset``, waiting up to ``wait_s`` for an
-        append on this root when there is none yet; a trailing partial
+        """Complete lines past ``offset``.  When there are none yet, waits
+        up to ``wait_s`` for the next op on this root that wakes waiters
+        (an append, but also a parked failure, a publish or a requeue)
+        and reads once more, so an empty answer before ``wait_s`` ran out
+        tells the caller something else changed.  A trailing partial
         line (an append in flight on another machine) stays unread until
         the next read.  Lines that don't parse as records are skipped —
         foreign rows never match a grid identity anyway."""
         offset = int(offset)
-        return self._wait_for(lambda: self._read_results_once(offset), wait_s) or {
-            "offset": offset,
-            "rows": [],
-        }
+        return self._wait_for(
+            lambda: self._read_results_once(offset), wait_s, until_result=False
+        ) or {"offset": offset, "rows": []}
 
     def _read_results_once(self, offset: int) -> dict | None:
         try:
@@ -1518,8 +1532,12 @@ class QueueExecutor:
             while pending and not stop.is_set():
                 # Waits for the next appended row; an append through a
                 # broker in this process (a BrokerServer on the same
-                # root) wakes it at once.
+                # root) wakes it at once.  So does a parked failure, and
+                # a read that comes back empty before its wait ran out
+                # reads the failures now rather than at the next scan.
+                read_at = time.monotonic()
                 offset, fresh = self.broker.read_results(offset, wait_s=self.poll_s)
+                woken = not fresh and time.monotonic() - read_at < self.poll_s
                 progressed = False
                 for record in fresh:
                     identity = record_identity(record)
@@ -1534,6 +1552,7 @@ class QueueExecutor:
                 if scan_due:
                     last_scan = now
                     self.broker.requeue_expired()
+                if scan_due or woken:
                     for report in self.broker.failures():
                         fdict = report.get("failure")
                         if fdict is None:

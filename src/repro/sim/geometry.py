@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -453,6 +454,12 @@ class Polyline:
     Lanes, routes and sidewalk paths are all polylines.  Supports
     interpolation by *station* (distance along the path) and nearest-point
     queries returning station plus signed lateral offset.
+
+    Polylines are immutable, so everything a query derives from the
+    vertices alone is built once (:meth:`_tables`): the segment tables
+    :meth:`locate` scans and Python-list mirrors of the stations and
+    segments that the scalar lookups bisect (the same float64 values, so
+    the same bits).
     """
 
     def __init__(self, points: Iterable[Vec2]):
@@ -467,6 +474,37 @@ class Polyline:
             raise ValueError("polyline contains zero-length segments")
         self._cum = np.concatenate([[0.0], np.cumsum(self._seg_len)])
         self._seg_dir = seg / self._seg_len[:, None]
+        self._length = float(self._cum[-1])
+        #: Query tables, built by the first query (see :meth:`_tables`).
+        self._lookup: tuple | None = None
+        #: ``(x, y, (station, lateral))`` of the last :meth:`locate` query.
+        #: One tuple, replaced whole, so a thread sharing the polyline (a
+        #: cached town's lanes) never reads a key paired with another
+        #: query's answer.
+        self._locate_memo: tuple | None = None
+
+    def _tables(self) -> tuple:
+        """``(stations, segment lengths, segment rows, scan tables)``.
+
+        Python-list mirrors of the cumulative stations and segment
+        lengths, per segment ``(x0, y0, dir_x, dir_y)`` float tuples, and
+        the segment vectors and clamped squared lengths :meth:`_nearest`
+        scans.  Built on the first query, as most polylines (road
+        centrelines, stripes, connectors) are never queried, and kept in
+        one attribute so concurrent first queries agree.
+        """
+        tables = self._lookup
+        if tables is None:
+            ab = np.diff(self._xy, axis=0)
+            rows = np.hstack([self._xy[:-1], self._seg_dir]).tolist()
+            tables = self._lookup = (
+                self._cum.tolist(),
+                self._seg_len.tolist(),
+                [tuple(row) for row in rows],
+                ab,
+                np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-18),
+            )
+        return tables
 
     @property
     def points(self) -> list[Vec2]:
@@ -476,24 +514,24 @@ class Polyline:
     @property
     def length(self) -> float:
         """Total arc length in metres."""
-        return float(self._cum[-1])
+        return self._length
 
     def point_at(self, station: float) -> Vec2:
         """Point at arc length ``station`` (clamped to the path extent)."""
-        s = min(max(station, 0.0), self.length)
-        idx = int(np.searchsorted(self._cum, s, side="right") - 1)
-        idx = min(idx, len(self._seg_len) - 1)
-        t = s - self._cum[idx]
-        x = self._xy[idx, 0] + self._seg_dir[idx, 0] * t
-        y = self._xy[idx, 1] + self._seg_dir[idx, 1] * t
-        return Vec2(float(x), float(y))
+        cum, _, rows, _, _ = self._lookup or self._tables()
+        s = min(max(station, 0.0), self._length)
+        idx = min(bisect_right(cum, s) - 1, len(rows) - 1)
+        x0, y0, dx, dy = rows[idx]
+        t = s - cum[idx]
+        return Vec2(float(x0 + dx * t), float(y0 + dy * t))
 
     def heading_at(self, station: float) -> float:
         """Tangent heading at arc length ``station``."""
-        s = min(max(station, 0.0), self.length - 1e-9)
-        idx = int(np.searchsorted(self._cum, s, side="right") - 1)
-        idx = min(max(idx, 0), len(self._seg_len) - 1)
-        return float(math.atan2(self._seg_dir[idx, 1], self._seg_dir[idx, 0]))
+        cum, _, rows, _, _ = self._lookup or self._tables()
+        s = min(max(station, 0.0), self._length - 1e-9)
+        idx = min(max(bisect_right(cum, s) - 1, 0), len(rows) - 1)
+        _, _, dx, dy = rows[idx]
+        return math.atan2(dy, dx)
 
     def locate(self, point: Vec2) -> tuple[float, float]:
         """Nearest-point query.
@@ -501,20 +539,36 @@ class Polyline:
         Returns ``(station, lateral)`` where ``station`` is the arc length of
         the closest point on the path and ``lateral`` the signed offset
         (positive to the *left* of the path direction).
+
+        A controller asks this several times per frame at one pose, so the
+        last answer is kept and a repeat query returns it without a scan.
+        A query with a zero coordinate always scans: ``0.0 == -0.0``, yet
+        the two can give differently signed zero offsets.
         """
-        p = np.array([point.x, point.y])
+        x, y = point.x, point.y
+        memo = self._locate_memo
+        if memo is not None and memo[0] == x and memo[1] == y and x and y:
+            return memo[2]
+        result = self._nearest(x, y)
+        self._locate_memo = (x, y, result)
+        return result
+
+    def _nearest(self, x: float, y: float) -> tuple[float, float]:
+        """One full segment scan for :meth:`locate`."""
+        cum, seg_len, rows, ab, denom = self._lookup or self._tables()
+        p = np.array([x, y])
         a = self._xy[:-1]
-        ab = self._xy[1:] - a
-        denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-18)
-        t = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0, 1.0)
-        closest = a + ab * t[:, None]
-        d2 = np.einsum("ij,ij->i", p - closest, p - closest)
+        # np.clip(t, 0, 1) without its dispatch overhead.  The operand
+        # order matters: ``maximum(0.0, t)`` returns ``t`` on a tie, so a
+        # ``-0.0`` stays as np.clip leaves it.
+        t = np.minimum(1.0, np.maximum(0.0, np.einsum("ij,ij->i", p - a, ab) / denom))
+        rel = p - (a + ab * t[:, None])
+        d2 = np.einsum("ij,ij->i", rel, rel)
         idx = int(np.argmin(d2))
-        station = float(self._cum[idx] + t[idx] * self._seg_len[idx])
-        dir_vec = self._seg_dir[idx]
-        rel = p - closest[idx]
-        lateral = float(dir_vec[0] * rel[1] - dir_vec[1] * rel[0])
-        return station, lateral
+        station = cum[idx] + float(t[idx]) * seg_len[idx]
+        _, _, dx, dy = rows[idx]
+        rx, ry = rel[idx].tolist()
+        return station, dx * ry - dy * rx
 
     def distance_to(self, point: Vec2) -> float:
         """Unsigned distance from ``point`` to the path."""
@@ -542,8 +596,22 @@ class Polyline:
         return out
 
     def resampled(self, spacing: float) -> "Polyline":
-        """A copy resampled at approximately uniform ``spacing`` metres."""
-        return Polyline([Vec2(float(x), float(y)) for x, y in self.resampled_xy(spacing)])
+        """A copy resampled at approximately uniform ``spacing`` metres.
+
+        On a path that doubles back, two stations can land on one point;
+        the later one is dropped, as it would make a zero-length segment
+        (the same test as the constructor's).  A closed path resampled
+        into its start and end alone has nothing left and raises.
+        """
+        xy = self.resampled_xy(spacing)
+        seg = np.diff(xy, axis=0)
+        keep = np.ones(len(xy), dtype=bool)
+        keep[1:] = np.hypot(seg[:, 0], seg[:, 1]) >= 1e-9
+        if keep.sum() < 2:
+            raise ValueError(
+                f"resampling at spacing {spacing!r} collapses the path to a point"
+            )
+        return Polyline([Vec2(x, y) for x, y in xy[keep].tolist()])
 
     def offset(self, lateral: float) -> "Polyline":
         """A parallel polyline offset ``lateral`` metres to the left."""

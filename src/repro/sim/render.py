@@ -146,16 +146,23 @@ class TownTexture:
         # copy feeds the renderer's ground pass directly (uint8 -> f32
         # casts are exact, so pre-casting changes no values).
         self._tex_flat = tex.reshape(-1, 3)
-        self._tex_f32 = self._tex_flat.astype(np.float32)
         self._classes_flat = classes.reshape(-1)
         self._offroad_u8 = np.array(
             SURFACE_COLORS[int(SurfaceType.OFFROAD)], dtype=np.uint8
         )
-        self._offroad_f32 = self._offroad_u8.astype(np.float32)
+        # The f32 table carries one extra texel, the off-map colour, so
+        # the per-frame gather reads off-map points from the table too.
+        self._off_map_texel = len(self._tex_flat)
+        self._tex_f32 = np.empty((self._off_map_texel + 1, 3), dtype=np.float32)
+        self._tex_f32[:-1] = self._tex_flat
+        self._tex_f32[-1] = self._offroad_u8
         # 1/resolution, used only for power-of-two resolutions: both the
         # inverse and the multiply are then pure exponent shifts, so
         # ``x * inv`` is bit-identical to ``x / resolution`` for every x.
         self._inv_res = 1.0 / resolution if math.frexp(resolution)[0] == 0.5 else None
+        #: Map origin and size, shaped against stacked ``(2, N)`` points.
+        self._origin = np.array([[self.x0], [self.y0]])
+        self._extent = np.array([[self.nx], [self.ny]], dtype=np.uint64)
 
     def _stamp_markings(self, tex: np.ndarray, town: Town) -> None:
         """Paint each stripe's texel squares with one index write.
@@ -191,69 +198,66 @@ class TownTexture:
                 footprint = tuple(int(ch * 0.55) for ch in b.color)
                 tex[r0:r1, c0:c1] = footprint
 
-    def _texel_rc(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _flat_index(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Flat texel indices of stacked world points, plus the on-map mask.
+
+        ``w`` holds x then y along its first axis (shape ``(2, ...)``);
+        both results have shape ``w.shape[1:]`` and the mask is ``None``
+        when every point is on the map.  Rows and columns truncate toward
+        zero like ``int()``.  Off-map entries hold no valid index: callers
+        replace them.
+        """
+        shape = w.shape[1:]
+        w = w.reshape(2, -1)
         if self._inv_res is not None:
-            col = ((x - self.x0) * self._inv_res).astype(np.int64)
-            row = ((y - self.y0) * self._inv_res).astype(np.int64)
+            rc = ((w - self._origin) * self._inv_res).astype(np.int64)
         else:
-            col = ((x - self.x0) / self.resolution).astype(np.int64)
-            row = ((y - self.y0) / self.resolution).astype(np.int64)
-        return row, col
+            rc = ((w - self._origin) / self.resolution).astype(np.int64)
+        # Unsigned views fold each axis's two range checks into one
+        # comparison (negative int64 indices reinterpret as huge uint64).
+        inside = rc.view(np.uint64) < self._extent
+        inside = inside[0] & inside[1]
+        flat = (rc[1] * self.nx + rc[0]).reshape(shape)
+        if inside.all():
+            return flat, None
+        return flat, inside.reshape(shape)
+
+    def _lookup(self, table: np.ndarray, w: np.ndarray, off_map) -> np.ndarray:
+        flat, inside = self._flat_index(w)
+        if inside is None:
+            return np.take(table, flat, axis=0)
+        out = np.take(table, np.where(inside, flat, 0), axis=0)
+        out[~inside] = off_map
+        return out
 
     def sample(self, xy: np.ndarray) -> np.ndarray:
         """Nearest-neighbour colour lookup for world points ``(N, 2)``."""
-        return self.sample_xy(xy[:, 0], xy[:, 1])
-
-    def _flat_gather_idx(self, row: np.ndarray, col: np.ndarray):
-        """Flat texel indices plus the out-of-map mask (``None`` if all in).
-
-        Out-of-range rows/cols are clipped in place — callers overwrite
-        the masked entries with the off-map colour/class, so the clipped
-        gather value never survives.
-        """
-        # Unsigned views fold each axis's two range checks into one
-        # comparison (negative int64 indices reinterpret as huge uint64).
-        inside = (row.view(np.uint64) < self.ny) & (col.view(np.uint64) < self.nx)
-        if inside.all():
-            return row * self.nx + col, None
-        np.clip(row, 0, self.ny - 1, out=row)
-        np.clip(col, 0, self.nx - 1, out=col)
-        return row * self.nx + col, ~inside
+        return self._lookup(self._tex_flat, xy.T, self._offroad_u8)
 
     def sample_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """:meth:`sample` on separate coordinate arrays (no stacking)."""
-        row, col = self._texel_rc(x, y)
-        flat, outside = self._flat_gather_idx(row, col)
-        out = np.take(self._tex_flat, flat, axis=0)
-        if outside is not None:
-            out[outside] = self._offroad_u8
-        return out
+        """:meth:`sample` on separate coordinate arrays."""
+        return self._lookup(self._tex_flat, np.stack([x, y]), self._offroad_u8)
 
-    def sample_f32_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """:meth:`sample_xy` as float32 (the renderer's working dtype).
+    def sample_f32(self, w: np.ndarray) -> np.ndarray:
+        """Colours of stacked world points ``w`` (``(2, ...)``) as float32.
 
-        Gathers from a pre-cast f32 table; identical values to
-        ``sample_xy(x, y).astype(np.float32)``.
+        The renderer's working dtype, gathered from a pre-cast f32 table:
+        identical values to ``sample_xy(*w).astype(np.float32)``.
         """
-        row, col = self._texel_rc(x, y)
-        flat, outside = self._flat_gather_idx(row, col)
-        out = np.take(self._tex_f32, flat, axis=0)
-        if outside is not None:
-            out[outside] = self._offroad_f32
-        return out
+        flat, inside = self._flat_index(w)
+        if inside is not None:
+            flat = np.where(inside, flat, self._off_map_texel)
+        return np.take(self._tex_f32, flat, axis=0)
 
     def sample_classes(self, xy: np.ndarray) -> np.ndarray:
         """Surface-class lookup for world points ``(N, 2)`` (uint8)."""
-        return self.sample_classes_xy(xy[:, 0], xy[:, 1])
+        return self._lookup(self._classes_flat, xy.T, int(SurfaceType.OFFROAD))
 
     def sample_classes_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """:meth:`sample_classes` on separate coordinate arrays."""
-        row, col = self._texel_rc(x, y)
-        flat, outside = self._flat_gather_idx(row, col)
-        out = np.take(self._classes_flat, flat)
-        if outside is not None:
-            out[outside] = int(SurfaceType.OFFROAD)
-        return out
+        return self._lookup(
+            self._classes_flat, np.stack([x, y]), int(SurfaceType.OFFROAD)
+        )
 
 
 class Renderer:
@@ -347,9 +351,7 @@ class Renderer:
         ] = {}
 
         buildings = self.town.buildings
-        self._bb_colors = np.array(
-            [b.color for b in buildings], dtype=np.float32
-        ).reshape(len(buildings), 3)
+        self._bb_color_rows = [b.color for b in buildings]
         # Stacked (7, n_b) building block for the billboard pass: rows are
         # [cx, cy, crel, srel, hl, hw, height]; the crel/srel rows are
         # frame-dependent placeholders overwritten per frame.
@@ -372,6 +374,22 @@ class Renderer:
         for surf, sem_id in SemanticClass.FROM_SURFACE.items():
             lut[surf] = sem_id
         self._sem_lut = lut
+
+        # Scalars of the billboard corner projection (see _box_bounds).
+        cam = self.camera
+        theta = math.radians(cam.pitch_deg)
+        cth, sth = math.cos(theta), math.sin(theta)
+        qz0 = 0.0 - cam.mount_height
+        self._box_consts = (
+            cam.forward_offset,
+            cth,
+            sth,
+            qz0 * sth,
+            qz0 * cth,
+            cam.focal_px,
+            (cam.width - 1) / 2.0,
+            (cam.height - 1) / 2.0,
+        )
 
     def _ground_alpha(self, fog_density: float) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``(FOG_COLOR * alpha, 1 - alpha)`` f32 ground fog terms.
@@ -449,99 +467,42 @@ class Renderer:
             v = cy - f * zc / xc
         return u, v, xc
 
+    #: Up to this many billboards left after culling project one by one
+    #: in :meth:`_box_bounds`; more go through :meth:`_boxes_bounds`.
+    #: Measured crossover: ~3 us per box in Python against a ~40 us fixed
+    #: NumPy cost.  Perfbench's smoke and dense-mux frames have 0-10
+    #: (the scalar side), the dense sensor bench ~56 per slot-frame.
+    _SCALAR_BOXES = 16
     _CORNER_SX = np.array([1.0, 1.0, -1.0, -1.0])
     _CORNER_SY = np.array([1.0, -1.0, 1.0, -1.0])
 
-    def _billboard_geometry_multi(self, egos, actor_lists):
-        """Cull, project and depth-sort every episode's drawables at once.
+    def _boxes_bounds(self, lx, ly, sub):
+        """:meth:`_box_bounds` of many billboards in one NumPy pass.
 
-        ``egos``/``actor_lists`` pair one ego :class:`Transform` and one
-        actor list per episode.  All drawables write into one
-        concatenated ``(7, total)`` row buffer (static building block
-        plus per-actor columns, buildings first, ``math`` trig for the
-        relative yaws) with per-row ego scalars expanded along their
-        episode's segment, so one elementwise pass serves every episode
-        and an episode's bits never depend on its slot neighbours.
-        Sorting stays per episode (a stable descending sort on the
-        world-frame centre distance; paint order never crosses
-        episodes).  Returns one ``(order, valid, u0, u1, v0, v1, dist)``
-        tuple per episode: the far-to-near paint order, a visibility
-        mask, the unclipped float pixel bounds of each billboard and the
-        ego-frame distance used for shading/fog/depth.
+        ``lx``/``ly`` hold the ego-frame centres and ``sub`` the
+        ``(crel, srel, hl, hw, height)`` rows.  The 8 corners of every box
+        project as one ``(k, 8)`` batch (bottom ring, then top ring),
+        where the x/y corners are shared between the rings and only the
+        z term differs; the expressions are :meth:`_project`'s.
         """
         cam = self.camera
-        n_b = self._bb_block.shape[1]
-        counts = [n_b + len(al) for al in actor_lists]
-        total = sum(counts)
-        if total == 0:
-            return [([], [], [], [], [], [], np.empty(0)) for _ in egos]
-        buf = np.empty((7, total))
-        ex = np.empty(total)
-        ey = np.empty(total)
-        c2 = np.empty(total)
-        s2 = np.empty(total)
-        offsets = [0]
-        pos = 0
-        for ego, actor_list, n in zip(egos, actor_lists, counts):
-            nxt = pos + n
-            nb_end = pos + n_b
-            buf[:, pos:nb_end] = self._bb_block
-            rel0 = 0.0 - ego.yaw
-            buf[2, pos:nb_end] = math.cos(rel0)
-            buf[3, pos:nb_end] = math.sin(rel0)
-            for i, a in enumerate(actor_list, start=nb_end):
-                apos = a.transform.position
-                rel = a.yaw - ego.yaw
-                buf[:, i] = (
-                    apos.x,
-                    apos.y,
-                    math.cos(rel),
-                    math.sin(rel),
-                    a.half_length,
-                    a.half_width,
-                    a.height,
-                )
-            ex[pos:nxt] = ego.position.x
-            ey[pos:nxt] = ego.position.y
-            c2[pos:nxt] = math.cos(-ego.yaw)
-            s2[pos:nxt] = math.sin(-ego.yaw)
-            pos = nxt
-            offsets.append(pos)
-        cx, cy, crel, srel, hl, hw, height = buf
-        dx = cx - ex
-        dy = cy - ey
-        lx = c2 * dx - s2 * dy
-        ly = s2 * dx + c2 * dy
-        # math.hypot for the sort key and the ego-frame distance: np.hypot
-        # is not bit-identical to it, and the golden frames pin these bits.
-        hyp = math.hypot
-        sort_key = [hyp(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
-        dist = np.array([hyp(a, b) for a, b in zip(lx.tolist(), ly.tolist())])
-        keep = (lx >= 0.5) & (dist <= cam.max_depth)
-
-        # Corner offsets in the ego frame (the corner signs are +-1).
+        fo, cth, sth, qz0_s, qz0_c, foc, ccx, ccy = self._box_consts
+        crel, srel, hl, hw, height = sub
         a = (hl * crel)[:, None]
         b = (hw * srel)[:, None]
         e = (hl * srel)[:, None]
         f = (hw * crel)[:, None]
-        px = lx[:, None] + (self._CORNER_SX[None, :] * a - self._CORNER_SY[None, :] * b)
-        py = ly[:, None] + (self._CORNER_SX[None, :] * e + self._CORNER_SY[None, :] * f)
-        # Project the 8 box corners (bottom ring z=0, top ring z=height):
-        # _project() unrolled over one (total, 8) batch, where the x/y
-        # corners are shared between the rings and only the z term differs.
-        theta = math.radians(cam.pitch_deg)
-        cth, sth = math.cos(theta), math.sin(theta)
-        foc = cam.focal_px
-        ccx = (cam.width - 1) / 2.0
-        ccy = (cam.height - 1) / 2.0
-        qx = np.empty((total, 8))
+        px = lx[:, None] + (self._CORNER_SX * a - self._CORNER_SY * b)
+        py = ly[:, None] + (self._CORNER_SX * e + self._CORNER_SY * f)
+        k = len(lx)
+        qx = np.empty((k, 8))
         qx[:, :4] = px
         qx[:, 4:] = px
-        np.subtract(qx, cam.forward_offset, out=qx)
-        py8 = np.empty((total, 8))
+        np.subtract(qx, fo, out=qx)
+        py8 = np.empty((k, 8))
         py8[:, :4] = py
         py8[:, 4:] = py
-        qz = np.empty((total, 8))
+        qz = np.empty((k, 8))
         qz[:, :4] = 0.0 - cam.mount_height
         qz[:, 4:] = (height - cam.mount_height)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -549,43 +510,161 @@ class Renderer:
             zc = qx * (-sth) + qz * cth
             u = ccx - foc * py8 / xc
             v = ccy - foc * zc / xc
-        # Culled drawables may hold inf/nan bounds; the paint loop never
-        # reads them (``valid`` gates first) and clips the rest per rect.
-        valid = keep & ~(xc < 0.2).any(1)
-        u0 = u.min(1)
-        u1 = u.max(1)
-        v0 = v.min(1)
-        v1 = v.max(1)
-        out = []
-        for idx in range(len(egos)):
-            lo, hi = offsets[idx], offsets[idx + 1]
-            seg_key = sort_key[lo:hi]
-            order = sorted(range(hi - lo), key=seg_key.__getitem__, reverse=True)
-            out.append(
-                (
-                    order,
-                    valid[lo:hi].tolist(),
-                    u0[lo:hi].tolist(),
-                    u1[lo:hi].tolist(),
-                    v0[lo:hi].tolist(),
-                    v1[lo:hi].tolist(),
-                    dist[lo:hi],
-                )
-            )
-        return out
+        behind = (xc < 0.2).any(1).tolist()
+        bounds = zip(u.min(1).tolist(), u.max(1).tolist(), v.min(1).tolist(), v.max(1).tolist())
+        return [None if bad else bd for bad, bd in zip(behind, bounds)]
 
-    def _paint_billboards(self, target, order, valid, u0, u1, v0, v1, values) -> None:
-        """Paint far-to-near; ``values[i]`` fills drawable ``i``'s rect."""
+    def _box_bounds(self, lx, ly, crel, srel, hl, hw, height):
+        """Pixel bounds ``(u0, u1, v0, v1)`` of one billboard, or ``None``.
+
+        Projects the box's 8 corners (bottom ring z=0, top ring
+        z=height) through :meth:`_project`'s expressions on Python floats,
+        which round as NumPy's float64 ufuncs do, so the bounds are the
+        bits the array version gives.  ``None`` when a corner is closer
+        than 0.2 m to the camera plane (never painted); no division
+        happens then.  The corners are ``(lx, ly) + (SX*a - SY*b, SX*e +
+        SY*f)`` with ``a, e = hl*(crel, srel)``, ``b, f = hw*(srel, crel)``
+        and the signs ``(SX, SY)`` in ``(1, 1), (1, -1), (-1, 1), (-1, -1)``
+        order, written out (``x - (-y)`` is ``x + y`` in IEEE arithmetic).
+        """
+        fo, cth, sth, qz0_s, qz0_c, foc, ccx, ccy = self._box_consts
+        a = hl * crel
+        b = hw * srel
+        e = hl * srel
+        f = hw * crel
+        qz1 = height - self.camera.mount_height
+        qz1_s = qz1 * sth
+        qz1_c = qz1 * cth
+        us = []
+        vs = []
+        for px, py in (
+            (lx + (a - b), ly + (e + f)),
+            (lx + (a + b), ly + (e - f)),
+            (lx + (-a - b), ly + (-e + f)),
+            (lx + (-a + b), ly + (-e - f)),
+        ):
+            qx = px - fo
+            xc0 = qx * cth + qz0_s
+            xc1 = qx * cth + qz1_s
+            if xc0 < 0.2 or xc1 < 0.2:
+                return None
+            zq = qx * (-sth)
+            fy = foc * py
+            us += (ccx - fy / xc0, ccx - fy / xc1)
+            vs += (ccy - foc * (zq + qz0_c) / xc0, ccy - foc * (zq + qz1_c) / xc1)
+        if not math.isfinite(crel + srel + hl + hw + height):
+            # NumPy's min/max propagate NaN; Python's do not.
+            nan = math.nan
+            if any(u != u for u in us):
+                us = [nan]
+            if any(v != v for v in vs):
+                vs = [nan]
+        return min(us), max(us), min(vs), max(vs)
+
+    def _billboard_geometry_multi(self, egos, actor_lists):
+        """Cull, project and depth-sort every episode's drawables at once.
+
+        ``egos``/``actor_lists`` pair one ego :class:`Transform` and one
+        actor list per episode.  Drawables are numbered episode by
+        episode, buildings first, into one ``(7, total)`` row buffer
+        (static building block plus per-actor columns, ``math`` trig for
+        the relative yaws) beside the per-column ego pose, so one
+        elementwise pass gives every drawable's ego-frame offset and an
+        episode's bits never depend on its slot neighbours.
+
+        Drawables behind the camera (``lx < 0.5``) or past ``max_depth``
+        are never painted, so they are culled first; the few left (none
+        on most smoke frames) project one by one in :meth:`_box_bounds`,
+        or in one :meth:`_boxes_bounds` pass when there are many.
+        Returns ``(paints, dist, offsets)``: ``paints[e]`` lists episode
+        ``e``'s visible drawables far to near as ``(index, u0, u1, v0,
+        v1)`` (a stable descending sort on the world-frame centre
+        distance, restricted to the visible ones, which keeps their order
+        in the full sort), with ``index`` numbering all episodes'
+        drawables and the float pixel bounds unclipped.  ``dist`` lists
+        every drawable's ego-frame distance (shading, fog, depth) and
+        ``offsets`` holds the episode boundaries in that numbering.
+        """
+        n_b = self._bb_block.shape[1]
+        offsets = [0]
+        for al in actor_lists:
+            offsets.append(offsets[-1] + n_b + len(al))
+        total = offsets[-1]
+        paints: list[list] = [[] for _ in egos]
+        if total == 0:
+            return paints, [], offsets
+        buf = np.empty((7, total))
+        # Per column: ego x, y, then (cos, sin) and (sin, -cos) of -yaw.
+        pose = np.empty((6, total))
+        for ego, actor_list, pos, nxt in zip(egos, actor_lists, offsets, offsets[1:]):
+            nb_end = pos + n_b
+            buf[:, pos:nb_end] = self._bb_block
+            rel0 = 0.0 - ego.yaw
+            buf[2:4, pos:nb_end] = ((math.cos(rel0),), (math.sin(rel0),))
+            if actor_list:
+                eyaw = ego.yaw
+                buf[:, nb_end:nxt] = list(
+                    zip(
+                        *[
+                            (
+                                a.transform.position.x,
+                                a.transform.position.y,
+                                math.cos(a.yaw - eyaw),
+                                math.sin(a.yaw - eyaw),
+                                a.half_length,
+                                a.half_width,
+                                a.height,
+                            )
+                            for a in actor_list
+                        ]
+                    )
+                )
+            c2, s2 = math.cos(-ego.yaw), math.sin(-ego.yaw)
+            pose[:, pos:nxt] = ((ego.position.x,), (ego.position.y,), (c2,), (s2,), (s2,), (-c2,))
+        # World offsets (dx, dy) and their ego-frame rotation (lx, ly):
+        # lx = c2*dx - s2*dy and ly = s2*dx - (-c2)*dy, stacked.
+        d = buf[0:2] - pose[0:2]
+        loc = pose[2:4] * d[0] - pose[4:6] * d[1]
+        # math.hypot for the sort key and the ego-frame distance: np.hypot
+        # is not bit-identical to it, and the golden frames pin these bits.
+        hyp = math.hypot
+        lxl, lyl = loc.tolist()
+        dist_list = list(map(hyp, lxl, lyl))
+        max_depth = self.camera.max_depth
+        cand = [i for i in range(total) if lxl[i] >= 0.5 and dist_list[i] <= max_depth]
+        if cand:
+            dxl, dyl = d.tolist()
+            sub = buf[2:7, cand]
+            if len(cand) > self._SCALAR_BOXES:
+                found = self._boxes_bounds(loc[0, cand], loc[1, cand], sub)
+            else:
+                found = [
+                    self._box_bounds(lxl[i], lyl[i], *row)
+                    for i, row in zip(cand, sub.T.tolist())
+                ]
+            episode = 0
+            for i, bounds in zip(cand, found):
+                if bounds is None:
+                    continue
+                while i >= offsets[episode + 1]:
+                    episode += 1
+                paints[episode].append((i, *bounds))
+            for paint in paints:
+                # Candidates were appended in index order, so this stable
+                # sort keeps the full sort's order among equal keys.
+                paint.sort(key=lambda item: hyp(dxl[item[0]], dyl[item[0]]), reverse=True)
+        return paints, dist_list, offsets
+
+    def _paint_billboards(self, target, paint, values) -> None:
+        """Paint far-to-near; ``values[index]`` fills a drawable's rect."""
         wmax = self.camera.width - 1
         hmax = self.camera.height - 1
         floor, ceil = math.floor, math.ceil
-        for i in order:
-            if not valid[i]:
-                continue
-            a0 = max(0, floor(u0[i]))
-            a1 = min(wmax, ceil(u1[i]))
-            b0 = max(0, floor(v0[i]))
-            b1 = min(hmax, ceil(v1[i]))
+        for i, u0, u1, v0, v1 in paint:
+            a0 = max(0, floor(u0))
+            a1 = min(wmax, ceil(u1))
+            b0 = max(0, floor(v0))
+            b1 = min(hmax, ceil(v1))
             if a0 > a1 or b0 > b1:
                 continue
             target[b0 : b1 + 1, a0 : a1 + 1] = values[i]
@@ -593,54 +672,50 @@ class Renderer:
     def _billboard_colors_multi(
         self,
         actor_lists: list[list],
-        dists: list[np.ndarray],
+        paints: list[list],
+        dist: list[float],
+        offsets: list[int],
         weathers: list[Weather],
-    ) -> list[np.ndarray]:
-        """Shaded + fogged uint8 fill colours, one array per episode.
+    ) -> dict[int, np.ndarray]:
+        """Shaded + fogged uint8 fill colours of the drawables to paint.
 
-        Rows follow :meth:`_billboard_geometry_multi`: buildings first,
-        then actors.  All episodes' drawable rows concatenate into one
-        colour/distance row set with per-episode scalars (fog visibility)
-        expanded along their segment, so the shading/fog ufuncs run once
-        instead of once per episode.  The fog-gamma power keeps a
-        *scalar* exponent per episode segment: NumPy's scalar-exponent
-        fast paths (e.g. ``** 0.5`` -> sqrt) are not guaranteed
-        bit-identical to an array-exponent ``pow``, and a scalar exponent
-        keeps an episode's bits independent of its batch neighbours.
+        Keyed by :meth:`_billboard_geometry_multi`'s drawable index; only
+        the drawables in ``paints`` are coloured (none, on most smoke
+        frames).  Shade and fog alpha are float64 scalars per drawable
+        (the arithmetic NumPy's float64 ufuncs do), and the float32
+        blend runs once over all episodes.  The fog-gamma power stays a
+        NumPy power with a *scalar* exponent per episode: its fast paths
+        (e.g. ``** 0.5`` -> sqrt) are not guaranteed bit-identical to
+        Python's ``pow``, and a scalar exponent keeps an episode's bits
+        independent of its batch neighbours.
         """
-        cam = self.camera
-        pieces = []
-        offsets = [0]
-        vis = np.empty(len(dists))
-        counts = np.empty(len(dists), dtype=np.int64)
-        pos = 0
-        for i, (actor_list, dist, weather) in enumerate(
-            zip(actor_lists, dists, weathers)
-        ):
-            pieces.append(self._bb_colors)
-            if actor_list:
-                pieces.append(
-                    np.array([a.color for a in actor_list], dtype=np.float32)
-                )
-            vis[i] = cam.max_depth * (1.0 - 0.85 * weather.fog_density)
-            counts[i] = len(dist)
-            pos += len(dist)
-            offsets.append(pos)
-        cols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        dist = np.concatenate(dists) if len(dists) > 1 else dists[0]
-        shade = 1.0 - 0.35 * np.minimum(dist / cam.max_depth, 1.0)
-        cols = cols * shade.astype(np.float32)[:, None]
-        fog_a = np.clip(dist / np.repeat(vis, counts), 0.0, 1.0)
-        for i, weather in enumerate(weathers):
-            if weather.fog_density > 0.0:
-                lo, hi = offsets[i], offsets[i + 1]
-                fog_a[lo:hi] = fog_a[lo:hi] ** max(0.5, 1.0 - weather.fog_density)
+        sel = [item[0] for paint in paints for item in paint]
+        if not sel:
+            return {}
+        max_depth = self.camera.max_depth
+        n_b = self._bb_block.shape[1]
+        rows = []
+        shade = []
+        fog = []
+        for actor_list, paint, pos, weather in zip(actor_lists, paints, offsets, weathers):
+            visibility = max_depth * (1.0 - 0.85 * weather.fog_density)
+            fog_a = []
+            for item in paint:
+                j = item[0] - pos
+                rows.append(self._bb_color_rows[j] if j < n_b else actor_list[j - n_b].color)
+                d = dist[item[0]]
+                shade.append(1.0 - 0.35 * min(d / max_depth, 1.0))
+                fog_a.append(min(1.0, max(0.0, d / visibility)))
+            if weather.fog_density > 0.0 and fog_a:
+                fog_a = (np.array(fog_a) ** max(0.5, 1.0 - weather.fog_density)).tolist()
+            fog += fog_a
+        cols = np.array(rows, dtype=np.float32)
+        cols *= np.array(shade, dtype=np.float32)[:, None]
         cols = (
-            cols * (1.0 - fog_a).astype(np.float32)[:, None]
-            + FOG_COLOR[None, :] * fog_a.astype(np.float32)[:, None]
+            cols * np.array([1.0 - f for f in fog], dtype=np.float32)[:, None]
+            + FOG_COLOR[None, :] * np.array(fog, dtype=np.float32)[:, None]
         )
-        u8 = cols.astype(np.uint8)
-        return [u8[offsets[i] : offsets[i + 1]] for i in range(len(dists))]
+        return dict(zip(sel, cols.astype(np.uint8)))
 
     def _apply_atmosphere(
         self,
@@ -735,23 +810,19 @@ class Renderer:
         if not views:
             return []
         n_eps = len(views)
-        # Batched ground pass: (E, N) world coordinates in one dispatch,
-        # one flat texture gather for all episodes.
-        exs = np.empty((n_eps, 1))
-        eys = np.empty((n_eps, 1))
-        coss = np.empty((n_eps, 1))
-        sins = np.empty((n_eps, 1))
-        for i, (ego, _, _, _) in enumerate(views):
-            exs[i, 0] = ego.position.x
-            eys[i, 0] = ego.position.y
-            coss[i, 0] = math.cos(ego.yaw)
-            sins[i, 0] = math.sin(ego.yaw)
-        wx = exs + self._ground_x[None, :] * coss - self._ground_y[None, :] * sins
-        wy = eys + self._ground_x[None, :] * sins + self._ground_y[None, :] * coss
-        n_ground = len(self._ground_x)
-        colors = self.texture.sample_f32_xy(wx.ravel(), wy.ravel()).reshape(
-            n_eps, n_ground, 3
-        )
+        # Batched ground pass: stacked world coordinates (all episodes'
+        # x rows, then their y rows), one flat texture gather.  Per episode the pose
+        # rows are (x, y), (cos, sin) and (sin, -cos) of the yaw, so
+        # w = pose + gx*rot - gy*rot90 gives wx = (x + gx*c) - gy*s and
+        # wy = (y + gx*s) - gy*(-c), which is (y + gx*s) + gy*c exactly.
+        rows = []
+        for ego, _, _, _ in views:
+            c, s = math.cos(ego.yaw), math.sin(ego.yaw)
+            rows.append((ego.position.x, ego.position.y, c, s, s, -c))
+        pose = np.array(rows).T.reshape(3, 2 * n_eps, 1)
+        w = pose[0] + self._ground_x * pose[1]
+        w -= self._ground_y * pose[2]
+        colors = self.texture.sample_f32(w.reshape(2, -1)).reshape(n_eps, -1, 3)
         # Ground fog: per-episode cached (fog_term, 1 - alpha) pairs
         # stacked along the episode axis and applied in one pass.
         weathers = [w or Weather("ClearNoon") for (_, _, w, _) in views]
@@ -764,21 +835,19 @@ class Renderer:
         # Billboard geometry and fill colours for all episodes in one
         # concatenated dispatch each.
         actor_lists = [list(actors or []) for (_, actors, _, _) in views]
-        geoms = self._billboard_geometry_multi(
+        paints, dist, offsets = self._billboard_geometry_multi(
             [ego for (ego, _, _, _) in views], actor_lists
         )
-        fills = self._billboard_colors_multi(
-            actor_lists, [geom[6] for geom in geoms], weathers
-        )
+        fill = self._billboard_colors_multi(actor_lists, paints, dist, offsets, weathers)
 
         out: list[np.ndarray] = []
-        for (_, _, _, rng), weather, geom, fill, ground in zip(
-            views, weathers, geoms, fills, colors
+        for (_, _, _, rng), weather, paint, ground in zip(
+            views, weathers, paints, colors
         ):
             # Sky gradient with the constant beyond-max-depth haze pre-baked.
             img = self._frame_base.copy()
             self._scatter_ground(img, ground)
-            self._paint_billboards(img, *geom[:6], fill)
+            self._paint_billboards(img, paint, fill)
             out.append(self._apply_atmosphere(img, weather, rng))
         return out
 
@@ -811,15 +880,13 @@ class Renderer:
         # Billboard pass shares the batched geometry with render(); only
         # the painted payload differs (class ids + centre distances).
         actor_list = list(actors or [])
-        order, valid, u0, u1, v0, v1, dist = self._billboard_geometry_multi(
-            [ego], [actor_list]
-        )[0]
+        paints, dist, _ = self._billboard_geometry_multi([ego], [actor_list])
         classes = [SemanticClass.BUILDING] * self._bb_block.shape[1] + [
             SemanticClass.PEDESTRIAN
             if getattr(a, "role", "") == "pedestrian"
             else SemanticClass.VEHICLE
             for a in actor_list
         ]
-        self._paint_billboards(semantic, order, valid, u0, u1, v0, v1, classes)
-        self._paint_billboards(depth, order, valid, u0, u1, v0, v1, dist.tolist())
+        self._paint_billboards(semantic, paints[0], classes)
+        self._paint_billboards(depth, paints[0], dist)
         return semantic, depth

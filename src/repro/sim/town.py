@@ -281,6 +281,10 @@ class Town:
         self._seg_a, self._seg_d, self._seg_len, self._seg_lane, self._seg_station = (
             self._build_segment_index()
         )
+        # Memos of pure functions of the (immutable) map, kept for the
+        # town's life in the process scene cache.
+        self._spawn_cache: dict[tuple, tuple[Waypoint, ...]] = {}
+        self._curve_cache: dict[tuple[LaneRef, LaneRef, float], Polyline] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -426,7 +430,9 @@ class Town:
         ax, ay, cosv, sinv, lenv, stav, lanev = self._segment_arrays(px, py)
         relx = px - ax
         rely = py - ay
-        t = np.clip((relx * cosv + rely * sinv) / lenv, 0.0, 1.0)
+        # np.clip(., 0, 1) without its dispatch overhead; ``maximum(0.0,
+        # .)`` keeps a ``-0.0`` as np.clip does (see Polyline._nearest).
+        t = np.minimum(1.0, np.maximum(0.0, (relx * cosv + rely * sinv) / lenv))
         ts = t * lenv
         offx = px - (ax + cosv * ts)
         offy = py - (ay + sinv * ts)
@@ -450,8 +456,13 @@ class Town:
     def locate(self, point: Vec2, yaw_hint: float | None = None) -> LaneLocation:
         """Full localisation of a world point (lane, station, offset, surface)."""
         lane, station, lateral = self.nearest_lane(point, yaw_hint)
-        surface = self.classify_point(point.x, point.y)
-        in_inter = any(i.contains(point) for i in self.intersections.values())
+        x, y = point.x, point.y
+        surface = self.classify_point(x, y)
+        # Intersection.contains over the scalars classify_point cached.
+        _, inters = self._surface_param_cache
+        in_inter = any(
+            abs(x - ix) <= half and abs(y - iy) <= half for ix, iy, half in inters
+        )
         return LaneLocation(lane, station, lateral, surface, in_inter)
 
     def classify_points(self, xy: np.ndarray) -> np.ndarray:
@@ -709,7 +720,19 @@ class Town:
         Quadratic Bézier from the incoming lane's end pose to the outgoing
         lane's start pose; the control point is the intersection of their
         heading lines (falls back to the midpoint when nearly parallel).
+        Built once per ``(incoming, outgoing, spacing)`` and shared: a
+        :class:`Polyline` is immutable.
         """
+        key = (incoming.ref, outgoing.ref, spacing)
+        curve = self._curve_cache.get(key)
+        if curve is None:
+            curve = self._curve_cache[key] = self._build_connection_curve(
+                incoming, outgoing, spacing
+            )
+        return curve
+
+    @staticmethod
+    def _build_connection_curve(incoming: Lane, outgoing: Lane, spacing: float) -> Polyline:
         p0 = incoming.centerline.point_at(incoming.length)
         h0 = incoming.centerline.heading_at(incoming.length)
         p2 = outgoing.centerline.point_at(0.0)
@@ -752,15 +775,22 @@ class Town:
         """Candidate vehicle spawn poses along all lanes.
 
         ``margin`` keeps spawns away from the lane ends so freshly spawned
-        vehicles are not inside junctions.
+        vehicles are not inside junctions.  Computed once per
+        ``(spacing, margin)``; each call returns a fresh list, so a caller
+        may shuffle or pop it.
         """
-        out: list[Waypoint] = []
-        for lane in self.lanes.values():
-            s = margin
-            while s <= lane.length - margin:
-                out.append(lane.waypoint_at(s))
-                s += spacing
-        return out
+        # Typed key: integer arguments give integer stations.
+        key = (spacing, margin, type(spacing), type(margin))
+        cached = self._spawn_cache.get(key)
+        if cached is None:
+            out: list[Waypoint] = []
+            for lane in self.lanes.values():
+                s = margin
+                while s <= lane.length - margin:
+                    out.append(lane.waypoint_at(s))
+                    s += spacing
+            cached = self._spawn_cache[key] = tuple(out)
+        return list(cached)
 
     def markings(self) -> list[MarkingStripe]:
         """All painted stripes: yellow centre lines and white edge lines."""

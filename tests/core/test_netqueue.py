@@ -591,6 +591,37 @@ class TestWaitingClaims:
         parked.join(timeout=10.0)
         assert not parked.is_alive()
 
+    def test_no_op_reaches_the_root_after_stop(self, builder, scenarios, tmp_path):
+        """A claim parked before ``stop()`` and woken by a publish after it
+        answers "no task" without claiming, and a connection that was
+        idle at ``stop()`` is closed, so its next op never runs."""
+        root = tmp_path / "queue"
+        server = BrokerServer(root, port=0).start()
+        host, port = parse_tcp_url(server.address)
+        idle = TcpBroker(host, port, retries=0)
+        idle.status()  # opens the connection, then sits idle on it
+        granted = []
+        parked = threading.Thread(
+            target=lambda: granted.append(
+                make_broker(server.address).claim("parked", wait_s=3.0)
+            ),
+            daemon=True,
+        )
+        parked.start()
+        time.sleep(0.3)  # the claim is parked on the server by now
+        server.stop()
+        campaign = _campaign(builder, scenarios)
+        local = FilesystemBroker(root)
+        local.publish(campaign.context(), campaign.tasks())  # wakes the park
+        parked.join(timeout=10.0)
+        assert not parked.is_alive()
+        assert granted == [None]
+        with pytest.raises(ConnectionError):
+            idle.heartbeat_worker("after-stop", 0)
+        assert local.status()["claimed"] == 0
+        assert local.status()["pending"] == len(campaign.tasks())
+        assert local.workers() == []
+
     def test_dropped_response_to_a_granted_waiting_claim_matches_serial(
         self, builder, scenarios, serial_dicts, server
     ):

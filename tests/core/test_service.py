@@ -21,6 +21,8 @@ import pytest
 import repro.core.service as service_module
 from repro.cli import main as cli_main
 from repro.core import Campaign, run_worker
+from repro.core.chaos import CrashFault
+from repro.core.faults import FAULT_REGISTRY
 from repro.core.service import CampaignService, Submission
 from repro.core.spec import CampaignSpec
 
@@ -271,6 +273,57 @@ class TestEventDrivenHandOff:
                 assert settle_s < 2.5, f"{summary['id']} took {settle_s:.2f}s"
             worker.join(timeout=60.0)
             assert not worker.is_alive(), "the worker stops after max_tasks"
+        finally:
+            service.stop()
+
+
+    def test_a_parked_failure_settles_its_submission_at_once(
+        self, tmp_path, smoke_payload, monkeypatch
+    ):
+        """A worker parking a failed episode wakes the coordinator's
+        results read, and the woken read checks the failures.  Otherwise
+        the quarantine waits for the next failure scan, ``poll_s`` = 5 s
+        away here."""
+        monkeypatch.setitem(FAULT_REGISTRY, CrashFault.name, CrashFault)
+        # The crash runs last: the record before it has already brought
+        # the coordinator's first failure scan.
+        payload = copy.deepcopy(smoke_payload)
+        payload["injectors"] = {
+            "none": [],
+            "crash": [{"fault": CrashFault.name, "params": {}, "trigger": None}],
+        }
+        service = CampaignService(
+            tmp_path / "svc", port=0, default_workers=0, poll_s=5.0
+        ).start()
+        worker = threading.Thread(
+            target=run_worker,
+            kwargs=dict(
+                queue_dir=service.broker_address,
+                worker_id="crash",
+                poll_s=0.5,
+                idle_timeout=2.0,
+            ),
+            daemon=True,
+        )
+        try:
+            start = time.monotonic()
+            status, summary, _ = _request(
+                f"{service.url}/campaigns",
+                method="POST",
+                payload={
+                    "spec": payload,
+                    "fault_tolerance": {"max_attempts": 1, "failure_budget": 1},
+                },
+            )
+            assert status == 201, summary
+            worker.start()
+            final = _poll_settled(service.url, summary["id"], timeout=60.0)
+            settle_s = time.monotonic() - start
+            assert final["state"] == "done", final
+            assert final["counts"] == {"ok": 1, "quarantined": 1}
+            assert settle_s < 2.0, f"{summary['id']} took {settle_s:.2f}s"
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), "the worker stops once idle"
         finally:
             service.stop()
 

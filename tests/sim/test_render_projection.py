@@ -101,3 +101,45 @@ class TestPitchedCamera:
         img_a = renderer.render(pose_a, [])
         img_b = renderer.render(pose_b, [])
         assert not np.array_equal(img_a, img_b)
+
+
+# ----------------------------------------------------------------------
+# Billboard bounds: the scalar and the batched projection agree bit for bit
+# ----------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_finite = st.floats(-60.0, 60.0, allow_nan=False)
+_box = st.tuples(
+    st.floats(0.5, 90.0),  # lx: culled boxes never reach the projection
+    _finite,  # ly
+    st.floats(-math.pi, math.pi),  # relative yaw
+    st.floats(0.1, 10.0),  # half length
+    st.floats(0.1, 10.0),  # half width
+    st.floats(0.1, 20.0),  # height
+)
+
+
+_renderers: dict[float, Renderer] = {}
+
+
+def _renderer_at(pitch: float) -> Renderer:
+    if pitch not in _renderers:
+        town = build_grid_town(GridTownConfig(rows=2, cols=3, with_buildings=False))
+        _renderers[pitch] = Renderer(town, CameraModel(width=32, height=24, pitch_deg=pitch))
+    return _renderers[pitch]
+
+
+@given(st.lists(_box, min_size=1, max_size=20), st.sampled_from([-12.0, -8.0, 0.0, 5.0]))
+@settings(max_examples=150, deadline=None)
+def test_scalar_and_batched_box_bounds_agree_bitwise(boxes, pitch):
+    renderer = _renderer_at(pitch)
+    rows = [(lx, ly, math.cos(yaw), math.sin(yaw), hl, hw, h) for lx, ly, yaw, hl, hw, h in boxes]
+    arr = np.array(rows).T
+    batched = renderer._boxes_bounds(arr[0], arr[1], arr[2:])
+    for row, got in zip(rows, batched):
+        scalar = renderer._box_bounds(*row)
+        assert (scalar is None) == (got is None)
+        if scalar is not None:
+            assert [v.hex() for v in scalar] == [v.hex() for v in got]
