@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..sim.geometry import Vec2
 from ..sim.physics import VehicleControl
 from ..sim.world import World
 from .planner import Command, Route
@@ -61,62 +60,78 @@ class Expert:
         return self.route.command_at(self.world.ego.position)
 
     # ------------------------------------------------------------------
-    def _steer(self) -> float:
+    def _steer(self, command: Command | None = None) -> float:
         ego = self.world.ego
         assert ego is not None
         cfg = self.config
         speed = max(ego.speed(), 0.0)
         lookahead = min(max(cfg.lookahead_base + cfg.lookahead_gain * speed, 3.0), 9.0)
-        if self.current_command() != Command.FOLLOW:
+        if command is None:
+            command = self.current_command()
+        if command != Command.FOLLOW:
             # Short lookahead through junctions: pure pursuit cuts corners
             # when it aims past the connector curve.
             lookahead = min(lookahead, 4.5)
-        target = self.route.target_point(ego.position, lookahead)
-        local = ego.transform.to_local(target)
-        dist_sq = max(local.norm_sq(), 1e-6)
-        curvature = 2.0 * local.y / dist_sq
+        pose = ego.transform
+        pos = pose.position
+        target = self.route.target_point(pos, lookahead)
+        # Transform.to_local and Vec2.norm_sq on plain floats.
+        dx = target.x - pos.x
+        dy = target.y - pos.y
+        c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
+        local_x = c * dx - s * dy
+        local_y = s * dx + c * dy
+        dist_sq = max(local_x * local_x + local_y * local_y, 1e-6)
+        curvature = 2.0 * local_y / dist_sq
         steer_angle = math.atan(curvature * ego.spec.wheelbase)
         return float(min(1.0, max(-1.0, steer_angle / ego.spec.max_steer_angle)))
 
     def _hazard_speed_cap(self) -> float | None:
         """Speed limit imposed by actors ahead; ``None`` when clear.
 
-        A returned 0.0 means "emergency stop".
+        A returned 0.0 means "emergency stop".  The ``Vec2`` arithmetic
+        (``rel = actor - ego``, its dot and cross with the heading) runs on
+        plain floats with the same expressions.
         """
         ego = self.world.ego
         assert ego is not None
         cfg = self.config
-        forward = ego.transform.forward()
+        pose = ego.transform
+        pos = pose.position
+        ex, ey = pos.x, pos.y
+        fx, fy = math.cos(pose.yaw), math.sin(pose.yaw)
         stop_dist = ego.model.stopping_distance(ego.speed()) + cfg.hazard_margin
+        caution_dist = stop_dist + 6.0
+        cone = cfg.hazard_cone_half_width
+        caution_cone = cone + 2.0
+        ego_hl = ego.half_length
         cap: float | None = None
         for actor in self.world.actors:
-            if actor.id == ego.id or not actor.alive:
+            if actor is ego or not actor.alive:
                 continue
-            rel = actor.position - ego.position
-            ahead = rel.dot(forward)
-            lateral = abs(rel.cross(forward))
+            apos = actor.transform.position
+            relx = apos.x - ex
+            rely = apos.y - ey
+            ahead = relx * fx + rely * fy
             if ahead <= 0.0:
                 continue
+            lateral = abs(relx * fy - rely * fx)
             # Bumper-to-bumper gap, not centre distance, so queuing keeps
             # a physical clearance instead of creeping into contact.
-            gap = ahead - ego.half_length - max(actor.half_length, actor.half_width)
-            if actor.role == "pedestrian":
-                # Slow near any pedestrian close to the driving corridor,
-                # stop if one is inside it.
-                if gap < stop_dist + 6.0 and lateral < cfg.hazard_cone_half_width + 2.0:
-                    cap = cfg.pedestrian_caution_speed if cap is None else min(cap, cfg.pedestrian_caution_speed)
-                if gap < stop_dist and lateral < cfg.hazard_cone_half_width:
-                    return 0.0
-            else:
-                if gap < stop_dist and lateral < cfg.hazard_cone_half_width:
-                    return 0.0
+            gap = ahead - ego_hl - max(actor.half_length, actor.half_width)
+            if gap < stop_dist and lateral < cone:
+                return 0.0
+            if actor.role == "pedestrian" and gap < caution_dist and lateral < caution_cone:
+                # Slow near any pedestrian close to the driving corridor.
+                cap = cfg.pedestrian_caution_speed
         return cap
 
-    def _target_speed(self) -> float:
+    def _target_speed(self, command: Command | None = None) -> float:
         ego = self.world.ego
         assert ego is not None
         cfg = self.config
-        command = self.current_command()
+        if command is None:
+            command = self.current_command()
         target = cfg.cruise_speed if command == Command.FOLLOW else cfg.turn_speed
         target *= self.world.weather.friction
 
@@ -135,8 +150,9 @@ class Expert:
         ego = self.world.ego
         assert ego is not None
         cfg = self.config
-        steer = self._steer()
-        target = self._target_speed()
+        command = self.current_command()
+        steer = self._steer(command)
+        target = self._target_speed(command)
         error = target - ego.speed()
 
         if target <= 0.05:

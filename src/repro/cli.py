@@ -957,7 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-tasks", type=_positive_int, default=None,
-        help="detach after completing this many episodes",
+        help="detach after running this many episodes to an end "
+        "(completed, or parked as failed)",
     )
     p.add_argument(
         "--episodes-per-slot", type=_positive_int, default=None, metavar="E",

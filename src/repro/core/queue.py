@@ -1186,8 +1186,9 @@ def run_worker(
 
     Exits once ``tasks/`` and ``claimed/`` have stayed empty for
     ``idle_timeout`` seconds — i.e. nothing is pending and no live lease
-    could still expire back into the queue.  Returns the number of
-    episodes this worker completed.
+    could still expire back into the queue, or once it has run
+    ``max_tasks`` claims to an end, completed or parked as failed.
+    Returns the number of episodes this worker completed.
     """
     worker_id = worker_id or default_worker_id()
     if broker is None:
@@ -1248,6 +1249,9 @@ def _drain(
     policy = context_policy(context)
     context_sha = (broker.manifest() or {}).get("context_sha")
     done = 0
+    # Claims this worker ran to an end, completed or parked: what
+    # ``max_tasks`` limits (``done`` counts only the completed ones).
+    retired = 0
     idle_since: float | None = None
     # Incremental view of the results checkpoint for the finish-after-
     # expiry dedupe below: re-parsing the whole (growing) JSONL before
@@ -1308,7 +1312,7 @@ def _drain(
             else multiplex_slot_size(context)
         )
         if max_tasks is not None:
-            slot = max(1, min(slot, max_tasks - done))
+            slot = max(1, min(slot, max_tasks - retired))
         claims = [claim]
         # Slot-filling claims never wait: the lease keepers of the claims
         # already held start only once the slot is full.
@@ -1343,6 +1347,7 @@ def _drain(
                     # landing after the release would rewrite the lease of
                     # a task nobody holds any more.
                     keepers.pop(task.identity()).stop()
+                    retired += 1
                     if isinstance(result, EpisodeFailure):
                         # Attempts exhausted: park the structured failure
                         # for the coordinator's budget decision.  Never
@@ -1374,10 +1379,10 @@ def _drain(
             # coordinator sees it and a re-publish can retry.
             for claim in by_identity.values():
                 broker.fail(claim, error=exc)
+                retired += 1
                 if verbose:
                     print(f"[worker {worker_id}] {claim.name} FAILED: {exc!r}")
-            continue
-        if max_tasks is not None and done >= max_tasks:
+        if max_tasks is not None and retired >= max_tasks:
             break
     broker.heartbeat_worker(worker_id, done)
     return done

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .geometry import OrientedBox, Polyline, Transform, Vec2, wrap_angle
-from .physics import BicycleModel, VehicleControl, VehicleSpec, VehicleState
+from .physics import BicycleModel, VehicleControl, VehicleSpec, VehicleState, _safe
 from .town import Lane, Town
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,7 +84,12 @@ class Actor:
 
 
 class Vehicle(Actor):
-    """A car driven by externally supplied controls (the ego, typically)."""
+    """A car driven by externally supplied controls (the ego, typically).
+
+    Its dynamic state lives in plain floats (``_x``, ``_y``, ``_yaw``,
+    ``_speed``) that :meth:`BicycleModel.advance` updates each tick;
+    :attr:`state` packs them into a :class:`VehicleState` on request.
+    """
 
     role = "vehicle"
     color: tuple[int, int, int] = (180, 30, 30)
@@ -99,9 +104,18 @@ class Vehicle(Actor):
         self.control = VehicleControl()
         self.odometer_m = 0.0
 
+    @property
+    def state(self) -> VehicleState:
+        """Pose and speed as a :class:`VehicleState`."""
+        return VehicleState(self._x, self._y, self._yaw, self._speed)
+
+    @state.setter
+    def state(self, state: VehicleState) -> None:
+        self._x, self._y, self._yaw, self._speed = state.x, state.y, state.yaw, state.speed
+
     def speed(self) -> float:
         """Current signed speed, m/s."""
-        return self.state.speed
+        return self._speed
 
     def apply_control(self, control: VehicleControl) -> None:
         """Set the control applied at the next tick (held until replaced)."""
@@ -113,10 +127,28 @@ class Vehicle(Actor):
         self.transform = transform
 
     def tick(self, world: "World", dt: float, rng: np.random.Generator) -> None:
-        prev_x, prev_y = self.state.x, self.state.y
-        self.state = self.model.step(self.state, self.control, dt)
-        self.transform = self.state.transform
-        self.odometer_m += math.hypot(self.state.x - prev_x, self.state.y - prev_y)
+        ctl = self.control.clamped()
+        self._drive(ctl.steer, ctl.throttle, ctl.brake, ctl.reverse, ctl.hand_brake, dt)
+
+    def _drive(
+        self,
+        steer: float,
+        throttle: float,
+        brake: float,
+        reverse: bool,
+        hand_brake: bool,
+        dt: float,
+    ) -> None:
+        """Integrate one sanitised command: the pose, its one
+        :class:`Transform` and the odometer."""
+        prev_x, prev_y = self._x, self._y
+        x, y, yaw, self._speed = self.model.advance(
+            prev_x, prev_y, self._yaw, self._speed,
+            steer, throttle, brake, reverse, hand_brake, dt,
+        )
+        self._x, self._y, self._yaw = x, y, yaw
+        self.transform = Transform(Vec2(x, y), yaw)
+        self.odometer_m += math.hypot(x - prev_x, y - prev_y)
 
 
 PEDESTRIAN_SPEC = {"half_length": 0.25, "half_width": 0.25, "height": 1.8}
@@ -187,15 +219,23 @@ class Pedestrian(Actor):
             self._goal_patience_s = float(rng.uniform(6.0, 20.0))
         self._goal_patience_s -= dt
 
-        to_goal = self._goal - self.position
-        dist = to_goal.norm()
+        # Vec2 arithmetic (goal - position, normalized, scaled step) on
+        # plain floats, with the same expressions.
+        pos = self.transform.position
+        px, py = pos.x, pos.y
+        goal = self._goal
+        tx = goal.x - px
+        ty = goal.y - py
+        dist = math.hypot(tx, ty)
         if dist < 0.5:
             self._goal = None
             return
         step = min(self.walk_speed * dt, dist)
-        direction = to_goal.normalized()
-        new_pos = self.position + direction * step
-        self.transform = Transform(new_pos, direction.heading())
+        # dist >= 0.5, so normalized() divides (its zero-vector branch
+        # never applies).
+        dx = tx / dist
+        dy = ty / dist
+        self.transform = Transform(Vec2(px + dx * step, py + dy * step), math.atan2(dy, dx))
 
 
 #: Declarative NPC behaviors a scenario can attach to a scripted vehicle.
@@ -397,6 +437,12 @@ class NPCVehicle(Vehicle):
     An optional :class:`NPCBehavior` overlays a scripted maneuver on the
     controller (see :class:`BehaviorSpec`); without one, behaviour is
     bit-identical to the plain lane follower.
+
+    The per-tick loop runs on plain floats: the path buffer holds
+    ``(x, y)`` tuples, and the pursuit command goes straight to
+    :meth:`BicycleModel.advance`, so a tick builds one :class:`Transform`
+    and nothing else.  ``control`` (what :meth:`apply_control` sets) is
+    never read: an NPC drives on its own command.
     """
 
     role = "npc_vehicle"
@@ -418,44 +464,66 @@ class NPCVehicle(Vehicle):
         self.behavior = behavior
         self._lane = lane
         self._station = station
-        self._path: list[Vec2] = []
+        #: Buffered path points ``(x, y)``; ``_seg[i]`` is the length of
+        #: the step from ``_path[i]`` to ``_path[i + 1]`` and ``_tail``
+        #: their running sum (see :meth:`_extend_path`).
+        self._path: list[tuple[float, float]] = []
+        self._seg: list[float] = []
+        self._tail = 0.0
         self._lookahead = 6.0
-        # Conservative lower bound on the buffered path length, used to
-        # skip the per-tick scan; see _extend_path.
-        self._length_bound = 0.0
-        self._bound_x = 0.0
-        self._bound_y = 0.0
 
     # ------------------------------------------------------------------
     # Path maintenance
     # ------------------------------------------------------------------
+    def _append(self, x: float, y: float) -> None:
+        path = self._path
+        if path:
+            ax, ay = path[-1]
+            step = math.hypot(ax - x, ay - y)
+            self._seg.append(step)
+            self._tail += step
+        path.append((x, y))
+
     def _extend_path(self, rng: np.random.Generator) -> None:
         """Append waypoints until the buffer reaches ~40 m ahead.
 
-        The full path scan runs only when needed: after a scan measuring
-        ``L``, the length ahead can shrink by at most the distance driven
-        since (path edits only append; prunes invalidate the bound), so
-        while ``L - driven`` stays >= 45 m the 40 m test cannot possibly
-        flip — the 5 m margin dwarfs any floating-point accumulation
-        error, keeping decisions (and therefore RNG draws) identical to
-        scanning every tick.
+        The decision is :meth:`_path_length_ahead`'s left-to-right sum
+        ``S = |pos - path[0]| + seg[0] + seg[1] + ...`` against 40 m, and
+        every decision must come out as that scan's, as the number of
+        lane ends reached sets the junction RNG draws.  The scan runs
+        only near the threshold.  Otherwise the estimate
+        ``E = |pos - path[0]| + _tail`` decides: ``_tail`` holds the same
+        summands, added as points are appended and subtracted as they are
+        pruned, and is re-summed from scratch after every extension.
+        ``E`` and ``S`` are sums of the same non-negative terms (each
+        ``seg`` entry is the scan's own ``hypot``, same operands, same
+        order), so each is within a few ulps per operation of the exact
+        sum: with under a hundred points of under a hundred metres and a
+        few dozen prunes between re-sums, ``|E - S| < 1e-11`` m.  So when
+        ``|E - 40| >= 1e-6`` m, ``S >= 40`` exactly when ``E >= 40``.
         """
-        pos = self.transform.position
-        bound = self._length_bound
-        if bound >= 45.0 and (
-            bound - math.hypot(pos.x - self._bound_x, pos.y - self._bound_y) >= 45.0
-        ):
-            return
+        path = self._path
+        hypot = math.hypot
+        extended = False
         while True:
-            total = self._path_length_ahead(50.0)
-            if total >= 40.0:
+            if path:
+                ax, ay = path[0]
+                estimate = hypot(self._x - ax, self._y - ay) + self._tail
+            else:
+                estimate = 0.0
+            if estimate >= 40.0 + 1e-6:
                 break
+            if estimate > 40.0 - 1e-6 and self._path_length_ahead(50.0) >= 40.0:
+                break
+            extended = True
             remaining = self._lane.length - self._station
             if remaining > 1.0:
                 step_end = min(self._lane.length, self._station + 20.0)
                 s = self._station + 2.0
+                point_at = self._lane.centerline.point_at
                 while s <= step_end:
-                    self._path.append(self._lane.centerline.point_at(s))
+                    p = point_at(s)
+                    self._append(p.x, p.y)
                     s += 2.0
                 self._station = step_end
                 continue
@@ -468,45 +536,46 @@ class NPCVehicle(Vehicle):
             if next_lane is None:
                 next_lane = options[int(rng.integers(len(options)))]
             connector = self.town.connection_curve(self._lane, next_lane)
-            self._path.extend(connector.points[1:])
+            for p in connector.points[1:]:
+                self._append(p.x, p.y)
             self._lane = next_lane
             self._station = 0.0
-        self._length_bound = total
-        self._bound_x = pos.x
-        self._bound_y = pos.y
+        if extended:
+            tail = 0.0
+            for step in self._seg:
+                tail += step
+            self._tail = tail
 
     def _path_length_ahead(self, enough: float = math.inf) -> float:
         """Buffered path length; returns early once ``enough`` is reached.
 
-        Distances accumulate left to right exactly as before; stopping at
-        ``enough`` cannot change any ``< enough`` comparison (the
-        remaining summands are non-negative).
+        Distances accumulate left to right; stopping at ``enough`` cannot
+        change any ``< enough`` comparison (the remaining summands are
+        non-negative).
         """
         path = self._path
         if not path:
             return 0.0
-        pos = self.transform.position
-        hypot = math.hypot
-        first = path[0]
-        ax, ay = first.x, first.y
-        total = hypot(pos.x - ax, pos.y - ay)
-        for i in range(1, len(path)):
+        ax, ay = path[0]
+        total = math.hypot(self._x - ax, self._y - ay)
+        for step in self._seg:
             if total >= enough:
                 return total
-            p = path[i]
-            bx, by = p.x, p.y
-            total += hypot(ax - bx, ay - by)
-            ax, ay = bx, by
+            total += step
         return total
 
-    def _prune_path(self) -> None:
+    def _prune_path(self) -> float:
+        """Drop the points passed (closer than 3 m, keeping the last);
+        returns the distance to the new first point."""
         path = self._path
-        pos = self.transform.position
-        while len(path) > 1 and math.hypot(pos.x - path[0].x, pos.y - path[0].y) < 3.0:
-            path.pop(0)
-            # Popping can shorten the measured length ahead: force the
-            # next _extend_path to rescan.
-            self._length_bound = 0.0
+        x, y = self._x, self._y
+        while True:
+            ax, ay = path[0]
+            dist = math.hypot(x - ax, y - ay)
+            if dist >= 3.0 or len(path) == 1:
+                return dist
+            del path[0]
+            self._tail -= self._seg.pop(0)
 
     # ------------------------------------------------------------------
     # Control
@@ -517,43 +586,48 @@ class NPCVehicle(Vehicle):
         Distances are bumper-to-bumper (both actors' extents subtracted),
         otherwise a queued vehicle creeps forward until the boxes overlap.
         """
-        stop_dist = self.model.stopping_distance(self.state.speed) + 3.0
-        yaw = self.transform.yaw
+        stop_dist = self.model.stopping_distance(self._speed) + 3.0
+        yaw = self._yaw
         fx, fy = math.cos(yaw), math.sin(yaw)
-        pos = self.transform.position
-        px, py = pos.x, pos.y
-        my_id = self.id
+        px, py = self._x, self._y
         hl = self.half_length
         for other in world.actors:
-            if other.id == my_id or not other.alive:
+            if other is self or not other.alive:
                 continue
             opos = other.transform.position
             relx = opos.x - px
             rely = opos.y - py
             ahead = relx * fx + rely * fy
-            if ahead <= 0.0:
+            if ahead <= 0.0 or abs(relx * fy - rely * fx) >= 2.2:
                 continue
-            clearance = hl + max(other.half_length, other.half_width)
-            if ahead - clearance < stop_dist and abs(relx * fy - rely * fx) < 2.2:
+            # hl + max(half_length, half_width), without the builtin call.
+            ohl, ohw = other.half_length, other.half_width
+            if ahead - (hl + (ohw if ohw > ohl else ohl)) < stop_dist:
                 return True
         return False
 
-    def _pursuit_control(self, world: "World") -> VehicleControl:
-        self._prune_path()
+    def _pursuit_control(self, world: "World") -> tuple[float, float, float]:
+        """``(steer, throttle, brake)``, sanitised as
+        :meth:`VehicleControl.clamped` would leave them."""
         if not self._path:
-            return VehicleControl(brake=1.0)
+            return 0.0, 0.0, 1.0
         # Find the pursuit target: first path point beyond the lookahead.
-        pos = self.transform.position
+        dist0 = self._prune_path()
+        path = self._path
+        x, y = self._x, self._y
         lookahead = self._lookahead
-        target = self._path[-1]
-        for p in self._path:
-            if math.hypot(pos.x - p.x, pos.y - p.y) >= lookahead:
-                target = p
-                break
+        if dist0 >= lookahead:
+            tgt_x, tgt_y = path[0]
+        else:
+            tgt_x, tgt_y = path[-1]
+            for i in range(1, len(path)):
+                px, py = path[i]
+                if math.hypot(x - px, y - py) >= lookahead:
+                    tgt_x, tgt_y = px, py
+                    break
         # Inline Transform.to_local + norm (same expressions, no Vec2s).
-        yaw = self.transform.yaw
+        yaw = self._yaw
         behavior = self.behavior
-        tgt_x, tgt_y = target.x, target.y
         if behavior is not None:
             # A cut-in maneuver biases the pursuit target to the left of
             # the vehicle's heading, swerving it off its lane.
@@ -562,31 +636,35 @@ class NPCVehicle(Vehicle):
                 tgt_x -= math.sin(yaw) * lat
                 tgt_y += math.cos(yaw) * lat
         c, s = math.cos(-yaw), math.sin(-yaw)
-        tx = tgt_x - pos.x
-        ty = tgt_y - pos.y
+        tx = tgt_x - x
+        ty = tgt_y - y
         local_y = s * tx + c * ty
         dist = max(math.hypot(c * tx - s * ty, local_y), 1e-3)
         curvature = 2.0 * local_y / (dist * dist)
         steer_angle = math.atan(curvature * self.spec.wheelbase)
         steer = steer_angle / self.spec.max_steer_angle
+        # Throttle and brake below are in [0, 1] by construction; only the
+        # steer can leave its range.
+        if not -1.0 <= steer <= 1.0:
+            steer = _safe(steer, -1.0, 1.0, 0.0)
 
         if behavior is not None and behavior.brake_now():
-            return VehicleControl(steer=steer, brake=1.0)
+            return steer, 0.0, 1.0
         speed_target = self.target_speed * world.weather.friction
         if behavior is not None:
             speed_target *= behavior.speed_scale()
         # Slow for curvature so turns stay on the connector curve.
         speed_target = min(speed_target, max(2.0, 8.0 / (1.0 + 25.0 * abs(curvature))))
         if (behavior is None or not behavior.ignore_hazards()) and self._hazard_ahead(world):
-            return VehicleControl(steer=steer, brake=1.0)
-        err = speed_target - self.state.speed
+            return steer, 0.0, 1.0
+        err = speed_target - self._speed
         if err >= 0.0:
-            return VehicleControl(steer=steer, throttle=min(0.8, 0.3 + 0.25 * err))
-        return VehicleControl(steer=steer, brake=min(1.0, -0.4 * err))
+            return steer, min(0.8, 0.3 + 0.25 * err), 0.0
+        return steer, 0.0, min(1.0, -0.4 * err)
 
     def tick(self, world: "World", dt: float, rng: np.random.Generator) -> None:
         if self.behavior is not None:
             self.behavior.update(self, world, dt)
         self._extend_path(rng)
-        self.apply_control(self._pursuit_control(world))
-        super().tick(world, dt, rng)
+        steer, throttle, brake = self._pursuit_control(world)
+        self._drive(steer, throttle, brake, False, False, dt)

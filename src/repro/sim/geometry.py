@@ -448,6 +448,24 @@ def batch_ray_hits_multi(
     return np.minimum(per_box.min(axis=2), max_range)
 
 
+def _segment_offset(seg: tuple, x: float, y: float) -> tuple[float, float, float, float]:
+    """``(d2, t, rx, ry)`` of point ``(x, y)`` against one segment row.
+
+    ``seg`` is ``(x0, y0, ab_x, ab_y, denom)``.  The operations are
+    :meth:`Polyline._scan`'s, one element at a time: ``einsum`` adds its
+    products from ``+0.0`` (so a ``-0.0`` dot product becomes ``+0.0``),
+    and ``np.maximum(0.0, q)``/``np.minimum(1.0, t)`` return their second
+    operand on a tie.
+    """
+    ax, ay, abx, aby, den = seg
+    q = ((x - ax) * abx + (y - ay) * aby + 0.0) / den
+    t = 0.0 if 0.0 > q else q
+    t = 1.0 if 1.0 < t else t
+    rx = x - (ax + abx * t)
+    ry = y - (ay + aby * t)
+    return rx * rx + ry * ry, t, rx, ry
+
+
 class Polyline:
     """A piecewise-linear path with arc-length parameterisation.
 
@@ -482,27 +500,37 @@ class Polyline:
         #: cached town's lanes) never reads a key paired with another
         #: query's answer.
         self._locate_memo: tuple | None = None
+        #: ``(x, y, sorted distances, segment order, last answer)`` of the
+        #: windowed search (:meth:`_nearest`), opened by each full scan.
+        self._window: tuple | None = None
 
     def _tables(self) -> tuple:
         """``(stations, segment lengths, segment rows, scan tables)``.
 
         Python-list mirrors of the cumulative stations and segment
-        lengths, per segment ``(x0, y0, dir_x, dir_y)`` float tuples, and
-        the segment vectors and clamped squared lengths :meth:`_nearest`
-        scans.  Built on the first query, as most polylines (road
-        centrelines, stripes, connectors) are never queried, and kept in
-        one attribute so concurrent first queries agree.
+        lengths, per segment ``(x0, y0, dir_x, dir_y)`` float tuples, the
+        segment vectors and clamped squared lengths :meth:`_scan` scans,
+        the same per segment as ``(x0, y0, ab_x, ab_y, denom)`` float
+        tuples for the windowed search, and the largest vertex coordinate
+        magnitude (the scale of its rounding margin).  Built on the first
+        query, as most polylines (road centrelines, stripes, connectors)
+        are never queried, and kept in one attribute so concurrent first
+        queries agree.
         """
         tables = self._lookup
         if tables is None:
             ab = np.diff(self._xy, axis=0)
+            denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-18)
             rows = np.hstack([self._xy[:-1], self._seg_dir]).tolist()
+            segs = np.hstack([self._xy[:-1], ab, denom[:, None]]).tolist()
             tables = self._lookup = (
                 self._cum.tolist(),
                 self._seg_len.tolist(),
                 [tuple(row) for row in rows],
                 ab,
-                np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-18),
+                denom,
+                [tuple(seg) for seg in segs],
+                float(np.abs(self._xy).max()),
             )
         return tables
 
@@ -518,7 +546,7 @@ class Polyline:
 
     def point_at(self, station: float) -> Vec2:
         """Point at arc length ``station`` (clamped to the path extent)."""
-        cum, _, rows, _, _ = self._lookup or self._tables()
+        cum, _, rows, _, _, _, _ = self._lookup or self._tables()
         s = min(max(station, 0.0), self._length)
         idx = min(bisect_right(cum, s) - 1, len(rows) - 1)
         x0, y0, dx, dy = rows[idx]
@@ -527,7 +555,7 @@ class Polyline:
 
     def heading_at(self, station: float) -> float:
         """Tangent heading at arc length ``station``."""
-        cum, _, rows, _, _ = self._lookup or self._tables()
+        cum, _, rows, _, _, _, _ = self._lookup or self._tables()
         s = min(max(station, 0.0), self._length - 1e-9)
         idx = min(max(bisect_right(cum, s) - 1, 0), len(rows) - 1)
         _, _, dx, dy = rows[idx]
@@ -544,6 +572,12 @@ class Polyline:
         last answer is kept and a repeat query returns it without a scan.
         A query with a zero coordinate always scans: ``0.0 == -0.0``, yet
         the two can give differently signed zero offsets.
+
+        The answer is the segment with the first minimal squared distance
+        ``d2`` (ties go to the lower index, as ``np.argmin``), found by
+        :meth:`_nearest`: a windowed search near the last full scan, or a
+        full scan.  Both give that segment's ``d2``, ``t`` and offset
+        with the same elementwise operations, so the same bits.
         """
         x, y = point.x, point.y
         memo = self._locate_memo
@@ -553,9 +587,55 @@ class Polyline:
         self._locate_memo = (x, y, result)
         return result
 
+    #: The windowed search hands over to a full scan once the query is
+    #: this far (metres) from the last full scan's point...
+    _WINDOW_M = 4.0
+    #: ... or once more segments than this could hold the answer.
+    _WINDOW_MAX = 12
+
     def _nearest(self, x: float, y: float) -> tuple[float, float]:
-        """One full segment scan for :meth:`locate`."""
-        cum, seg_len, rows, ab, denom = self._lookup or self._tables()
+        """The nearest segment to ``(x, y)``, searched from the last answer.
+
+        A full scan (:meth:`_scan`) at point ``s`` records every segment's
+        distance ``D_j = sqrt(d2_j(s))``, sorted.  A later query ``p``
+        with ``delta = |p - s| <= _WINDOW_M`` first evaluates the last
+        answer's segment, giving ``best``.  By the triangle inequality the
+        distance from ``p`` to segment ``j`` is at least ``D_j - delta``,
+        so a segment with ``D_j > sqrt(best) + delta + margin`` has a
+        ``d2`` strictly above ``best``: it can hold neither the minimum
+        nor a tie with it, and the sorted tail of such segments is
+        skipped as one block.  Every other segment is evaluated, and the
+        first minimal ``d2`` among them (lowest index on a tie) is the
+        full scan's argmin.  ``margin`` is ``1e-9`` times the coordinate
+        scale, many orders above the few ulps by which computed distances
+        can differ from exact ones.  Non-finite queries, and windows that
+        would hold more than :data:`_WINDOW_MAX` segments, scan in full.
+        """
+        window = self._window
+        if window is not None and math.isfinite(x) and math.isfinite(y):
+            sx, sy, dist, order, start = window
+            delta = math.hypot(x - sx, y - sy)
+            if delta <= self._WINDOW_M:
+                cum, seg_len, rows, _, _, segs, scale = self._lookup
+                best = _segment_offset(segs[start], x, y)
+                reach = math.sqrt(best[0]) + delta + 1e-9 * (1.0 + scale + abs(x) + abs(y))
+                end = bisect_right(dist, reach)
+                if end <= self._WINDOW_MAX and math.isfinite(reach):
+                    best_i = start
+                    for i in order[:end]:
+                        if i != start:
+                            found = _segment_offset(segs[i], x, y)
+                            if found[0] < best[0] or (found[0] == best[0] and i < best_i):
+                                best, best_i = found, i
+                    self._window = (sx, sy, dist, order, best_i)
+                    _, t, rx, ry = best
+                    _, _, dx, dy = rows[best_i]
+                    return cum[best_i] + t * seg_len[best_i], dx * ry - dy * rx
+        return self._scan(x, y)
+
+    def _scan(self, x: float, y: float) -> tuple[float, float]:
+        """One full segment scan for :meth:`locate`; opens a new window."""
+        cum, seg_len, rows, ab, denom, _, _ = self._lookup or self._tables()
         p = np.array([x, y])
         a = self._xy[:-1]
         # np.clip(t, 0, 1) without its dispatch overhead.  The operand
@@ -565,6 +645,10 @@ class Polyline:
         rel = p - (a + ab * t[:, None])
         d2 = np.einsum("ij,ij->i", rel, rel)
         idx = int(np.argmin(d2))
+        if math.isfinite(x) and math.isfinite(y):
+            dist = np.sqrt(d2)
+            order = np.argsort(dist, kind="stable")
+            self._window = (x, y, dist[order].tolist(), order.tolist(), idx)
         station = cum[idx] + float(t[idx]) * seg_len[idx]
         _, _, dx, dy = rows[idx]
         rx, ry = rel[idx].tolist()

@@ -142,19 +142,44 @@ class BicycleModel:
         The control is sanitised via :meth:`VehicleControl.clamped` first, so
         corrupted commands from fault injection cannot produce NaN states.
         """
+        ctl = control.clamped()
+        return VehicleState(
+            *self.advance(
+                state.x, state.y, state.yaw, state.speed,
+                ctl.steer, ctl.throttle, ctl.brake, ctl.reverse, ctl.hand_brake, dt,
+            )
+        )
+
+    def advance(
+        self,
+        x: float,
+        y: float,
+        yaw: float,
+        speed: float,
+        steer: float,
+        throttle: float,
+        brake: float,
+        reverse: bool,
+        hand_brake: bool,
+        dt: float,
+    ) -> tuple[float, float, float, float]:
+        """:meth:`step` on plain floats: ``(x, y, yaw, speed)`` after ``dt``.
+
+        The one integrator: :meth:`step` unpacks into it, and NPC traffic
+        calls it directly so its per-tick loop builds no state or control
+        objects.  The command must already be sanitised (what
+        :meth:`VehicleControl.clamped` returns).
+        """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         spec = self.spec
-        ctl = control.clamped()
-
-        speed = state.speed
-        if ctl.hand_brake:
+        if hand_brake:
             accel = -math.copysign(spec.max_brake_decel, speed) if abs(speed) > 1e-3 else 0.0
         else:
-            drive = ctl.throttle * spec.max_accel
-            if ctl.reverse:
+            drive = throttle * spec.max_accel
+            if reverse:
                 drive = -drive
-            brake = ctl.brake * spec.max_brake_decel
+            brake = brake * spec.max_brake_decel
             # Brakes oppose motion; at standstill they simply hold the car.
             if abs(speed) > 1e-3:
                 brake_term = -math.copysign(brake, speed)
@@ -170,20 +195,23 @@ class BicycleModel:
 
         new_speed = speed + accel * dt
         # Brakes and resistance never push the car backwards through zero.
-        if speed > 0.0 and new_speed < 0.0 and not ctl.reverse:
+        if speed > 0.0 and new_speed < 0.0 and not reverse:
             new_speed = 0.0
-        if speed < 0.0 and new_speed > 0.0 and ctl.reverse:
+        if speed < 0.0 and new_speed > 0.0 and reverse:
             new_speed = 0.0
-        new_speed = _clamp(new_speed, -spec.max_reverse_speed, spec.max_speed)
+        # _clamp(new_speed, -max_reverse_speed, max_speed), inlined.
+        lo = -spec.max_reverse_speed
+        new_speed = new_speed if new_speed > lo else lo
+        new_speed = new_speed if new_speed < spec.max_speed else spec.max_speed
 
-        steer_angle = ctl.steer * spec.max_steer_angle
+        steer_angle = steer * spec.max_steer_angle
         yaw_rate = new_speed / spec.wheelbase * math.tan(steer_angle)
-        new_yaw = wrap_angle(state.yaw + yaw_rate * dt)
+        new_yaw = wrap_angle(yaw + yaw_rate * dt)
         # Integrate position along the average heading for second-order accuracy.
-        mid_yaw = state.yaw + 0.5 * yaw_rate * dt
-        nx = state.x + new_speed * math.cos(mid_yaw) * dt
-        ny = state.y + new_speed * math.sin(mid_yaw) * dt
-        return VehicleState(nx, ny, new_yaw, new_speed)
+        mid_yaw = yaw + 0.5 * yaw_rate * dt
+        nx = x + new_speed * math.cos(mid_yaw) * dt
+        ny = y + new_speed * math.sin(mid_yaw) * dt
+        return nx, ny, new_yaw, new_speed
 
     def stopping_distance(self, speed: float, reaction_time: float = 0.3) -> float:
         """Distance needed to stop from ``speed`` with full braking."""

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .geometry import OrientedBox, Vec2
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .actors import Vehicle
@@ -126,6 +125,8 @@ class ViolationMonitor:
         self._contacts: dict[object, ViolationEvent] = {}
         self._open: dict[ViolationType, ViolationEvent] = {}
         self._open_odometer: dict[ViolationType, float] = {}
+        #: ``(town, circles)`` memo of :meth:`_building_circles`.
+        self._buildings: tuple | None = None
 
     def reset(self) -> None:
         """Clear all state between episodes."""
@@ -146,14 +147,20 @@ class ViolationMonitor:
         off_surface = not on_pavement
         lane_bad = on_pavement and not loc.in_intersection and loc.off_lane
 
-        for detector, vtype, condition, details in (
-            (self._lane, ViolationType.LANE, lane_bad, {"lateral": loc.lateral}),
-            (self._curb, ViolationType.CURB, off_surface, {"surface": loc.surface.name}),
+        for detector, vtype, condition in (
+            (self._lane, ViolationType.LANE, lane_bad),
+            (self._curb, ViolationType.CURB, off_surface),
         ):
             edge = detector.update(condition)
+            if edge == "none" and not condition:
+                continue
+            if vtype is ViolationType.LANE:
+                details = {"lateral": loc.lateral}
+            else:
+                details = {"surface": loc.surface.name}
             if edge == "start":
                 event = ViolationEvent(
-                    vtype, frame, (ego.position.x, ego.position.y), dict(details)
+                    vtype, frame, (ego.position.x, ego.position.y), details
                 )
                 self._open[vtype] = event
                 self._open_odometer[vtype] = ego.odometer_m
@@ -178,48 +185,80 @@ class ViolationMonitor:
                     new_events.append(event)
         return new_events
 
+    def _building_circles(self, town) -> list[tuple]:
+        """Per building ``(center_x, center_y, circumradius, box)``.
+
+        Buildings are static, so this is built once per town.
+        """
+        cached = self._buildings
+        if cached is None or cached[0] is not town:
+            circles = [
+                (
+                    b.box.center.x,
+                    b.box.center.y,
+                    math.hypot(b.box.half_length, b.box.half_width),
+                    b.box,
+                )
+                for b in town.buildings
+            ]
+            cached = self._buildings = (town, circles)
+        return cached[1]
+
     def _update_collisions(
         self, world: "World", ego: "Vehicle", frame: int
     ) -> list[ViolationEvent]:
+        """Collision edges: the boxes overlapping the ego's this frame.
+
+        Circumradius prescreen first, on plain floats: boxes whose centres
+        are farther apart than their circumradii sum cannot overlap, and
+        the SAT test would prove exactly that.  Only a box that passes it
+        is built and tested, with the same floats the box would carry.
+        """
         new_events: list[ViolationEvent] = []
-        ego_box = ego.bounding_box()
-        ego_x, ego_y = ego_box.center.x, ego_box.center.y
-        ego_radius = math.hypot(ego_box.half_length, ego_box.half_width)
-        current: set[object] = set()
-
-        def check(key: object, box: OrientedBox, vtype: ViolationType, detail: dict) -> None:
-            # Circumradius prescreen: boxes whose centres are farther
-            # apart than their circumradii sum cannot overlap, and the
-            # SAT test below would prove exactly that — skip it.
-            reach = ego_radius + math.hypot(box.half_length, box.half_width)
-            if math.hypot(box.center.x - ego_x, box.center.y - ego_y) > reach:
-                return
-            if not ego_box.overlaps(box):
-                return
-            current.add(key)
-            if key in self._contacts:
-                return
-            event = ViolationEvent(vtype, frame, (ego.position.x, ego.position.y), detail)
-            self._contacts[key] = event
-            self.events.append(event)
-            new_events.append(event)
-
+        epos = ego.transform.position
+        ego_x, ego_y = epos.x, epos.y
+        ego_radius = math.hypot(ego.half_length, ego.half_width)
+        hypot = math.hypot
+        hits: list[tuple] = []
         for actor in world.actors:
-            if actor.id == ego.id or not actor.alive:
+            if actor is ego or not actor.alive:
+                continue
+            pos = actor.transform.position
+            reach = ego_radius + hypot(actor.half_length, actor.half_width)
+            if hypot(pos.x - ego_x, pos.y - ego_y) > reach:
                 continue
             vtype = (
                 ViolationType.COLLISION_PEDESTRIAN
                 if actor.role == "pedestrian"
                 else ViolationType.COLLISION_VEHICLE
             )
-            check(("actor", actor.id), actor.bounding_box(), vtype, {"other": actor.role})
-        for i, building in enumerate(world.town.buildings):
-            check(("building", i), building.box, ViolationType.COLLISION_STATIC, {"other": "building"})
+            hits.append((("actor", actor.id), actor.bounding_box(), vtype, actor.role))
+        for i, (bx, by, radius, box) in enumerate(self._building_circles(world.town)):
+            if hypot(bx - ego_x, by - ego_y) > ego_radius + radius:
+                continue
+            hits.append((("building", i), box, ViolationType.COLLISION_STATIC, "building"))
+
+        current: set[object] = set()
+        if hits:
+            ego_box = ego.bounding_box()
+            for key, box, vtype, other in hits:
+                if not ego_box.overlaps(box):
+                    continue
+                current.add(key)
+                if key in self._contacts:
+                    continue
+                event = ViolationEvent(
+                    vtype, frame, (ego.position.x, ego.position.y), {"other": other}
+                )
+                self._contacts[key] = event
+                self.events.append(event)
+                new_events.append(event)
 
         # Close contacts that separated this frame.
-        for key in list(self._contacts):
-            if key not in current:
-                self._contacts.pop(key).end_frame = frame
+        if self._contacts:
+            for key in list(self._contacts):
+                if key not in current:
+                    self._contacts.pop(key).end_frame = frame
         return new_events
 
     # ------------------------------------------------------------------

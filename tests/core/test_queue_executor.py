@@ -25,6 +25,7 @@ from repro.core import (
     run_worker,
     standard_scenarios,
 )
+from repro.core.chaos import CrashFault
 from repro.core.faults import OutputDelay
 from repro.core.runner import record_identity
 from repro.sim.builders import SimulationBuilder
@@ -311,6 +312,30 @@ class TestLeases:
         assert broker.is_idle()
         _, rows = broker.read_results(0)
         assert len(rows) == 1
+
+    def test_max_tasks_counts_parked_failures(self, builder, scenarios, tmp_path):
+        """A parked failure retires its claim like a completed episode:
+        ``max_tasks=2`` over one success and one crash detaches the worker
+        at once, long before its idle timeout, and it reports the one
+        completed episode."""
+        qdir = tmp_path / "q"
+        runner = _campaign(builder, scenarios[:1],
+                           injectors={"none": [], "crash": [CrashFault()]})
+        broker = FilesystemBroker(qdir)
+        broker.publish(runner.context(), runner.tasks())
+        returned = []
+        worker = threading.Thread(
+            target=lambda: returned.append(run_worker(
+                qdir, worker_id="bounded", lease_s=10.0, poll_s=0.02,
+                idle_timeout=120.0, max_tasks=2,
+            )),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=60.0)
+        assert not worker.is_alive(), "the worker stops after max_tasks retired claims"
+        assert returned == [1]
+        assert len(broker.failures()) == 1
 
 
     def test_slot_drain_leaves_no_orphan_lease(self, builder, scenarios, tmp_path):
