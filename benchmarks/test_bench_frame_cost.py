@@ -6,8 +6,12 @@ bench records where a frame's time goes: microseconds per frame in each
 ``step_world`` / ``sense`` / ``complete_frame``), for the smoke scene
 (2x3 town, 32x24 camera, no LIDAR, 1 NPC + 1 pedestrian) and the dense
 scene of ``sensor_bench`` (4x4 town, default camera, LIDAR, 8 NPCs + 4
-pedestrians).  Those numbers are recorded, not gated: they move with the
-host.
+pedestrians).  It also records the dense scene on the multiplexed slot
+of 4 (the ``dense-mux`` path: microseconds per episode-frame), and the
+world step of the dense scene split by actor kind: NPC vehicles,
+pedestrians and the ego's physics, per frame and per actor tick (each
+tick timed through a wrapper, which adds a fraction of a microsecond).
+Those numbers are recorded, not gated: they move with the host.
 
 The gate is a ratio of two runs in one process, so it holds on any host.
 The expert asks its route the same question four times per frame; the
@@ -25,13 +29,15 @@ Results land in ``benchmarks/results/BENCH_frame_cost.json``.
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.agent import autopilot_agent_factory
 from repro.agent.autopilot import Expert
 from repro.agent.planner import Route, RoutePlanner
-from repro.core import standard_scenarios
+from repro.core import Campaign, standard_scenarios
 from repro.core.campaign import EpisodeDriver
+from repro.sim.actors import NPCVehicle, Pedestrian, Vehicle
 from repro.sim.builders import SimulationBuilder
 from repro.sim.geometry import Polyline
 from repro.sim.render import CameraModel
@@ -55,6 +61,11 @@ ROUTE_GATE = 2.0
 #: Frames of the route-query comparison.
 ROUTE_FRAMES = 300
 PHASES = ("step_client", "step_world", "sense", "complete_frame")
+#: Episodes per slot of the multiplexed measurement (the benchmark's
+#: ``dense-mux`` default).
+MUX_SLOT = 4
+#: Actor kinds of the world-step split: the class whose ``tick`` is timed.
+ACTOR_KINDS = {"npc_vehicle": NPCVehicle, "pedestrian": Pedestrian, "ego": Vehicle}
 
 SMOKE_CAMERA = CameraModel(width=32, height=24)
 
@@ -77,6 +88,49 @@ def _scenes():
         ),
     )
     return {"smoke": smoke, "dense": dense}
+
+
+@contextmanager
+def _timed_actor_ticks():
+    """Time every actor tick by kind; yields ``{kind: [seconds, ticks]}``.
+
+    Only the exact class counts (an NPC's own tick is not also the
+    ego's), so the kinds partition the actor ticks of a world step.
+    """
+    spent = {kind: [0.0, 0] for kind in ACTOR_KINDS}
+    originals = {cls: cls.__dict__["tick"] for cls in ACTOR_KINDS.values()}
+    clock = time.perf_counter
+    for kind, cls in ACTOR_KINDS.items():
+        def timed(self, world, dt, rng, _tick=originals[cls], _cls=cls, _slot=spent[kind]):
+            if type(self) is not _cls:
+                return _tick(self, world, dt, rng)
+            start = clock()
+            try:
+                return _tick(self, world, dt, rng)
+            finally:
+                _slot[0] += clock() - start
+                _slot[1] += 1
+
+        cls.tick = timed
+    try:
+        yield spent
+    finally:
+        for cls, tick in originals.items():
+            cls.tick = tick
+
+
+def _mux_frame_cost(builder, scenarios) -> dict:
+    """Mean microseconds per episode-frame on a multiplexed slot."""
+    campaign = Campaign(
+        scenarios, autopilot_agent_factory(), {"none": []}, builder=builder,
+        executor="multiplexed", episodes_per_slot=MUX_SLOT,
+    )
+    start = time.perf_counter()
+    result = campaign.run()
+    wall = time.perf_counter() - start
+    frames = sum(record.frames for record in result.records)
+    return {"episodes": len(result.records), "frames": frames, "slot": MUX_SLOT,
+            "us_per_frame": wall / frames * 1e6}
 
 
 def _phase_costs(builder, scenarios) -> dict:
@@ -183,12 +237,31 @@ def test_frame_cost_and_route_query_gate(capsys):
     from .conftest import emit
 
     scenes = _scenes()
-    phases = {name: _phase_costs(*scene) for name, scene in scenes.items()}
+    phases = {"smoke": _phase_costs(*scenes["smoke"])}
+    with _timed_actor_ticks() as ticks:
+        phases["dense"] = _phase_costs(*scenes["dense"])
+    dense_frames = phases["dense"]["frames"]
+    world_split = {
+        kind: {
+            "us_per_frame": seconds / dense_frames * 1e6,
+            "us_per_tick": seconds / max(count, 1) * 1e6,
+            "ticks": count,
+        }
+        for kind, (seconds, count) in ticks.items()
+    }
+    dense_builder, _ = scenes["dense"]
+    mux = _mux_frame_cost(dense_builder, standard_scenarios(
+        MUX_SLOT, seed=5, town_config=BENCH_TOWN,
+        n_npc_vehicles=N_NPC_VEHICLES, n_pedestrians=N_PEDESTRIANS,
+        min_distance=60, max_distance=160,
+    ))
     builder, scenarios = scenes["smoke"]
     routes = _route_query_costs(builder, scenarios[0])
     payload = {
         "machine": machine_fingerprint(),
         "phases": phases,
+        "dense_world_step_by_actor": world_split,
+        "dense_multiplexed": mux,
         "route_queries": routes,
         "gate": ROUTE_GATE,
     }
@@ -201,6 +274,16 @@ def test_frame_cost_and_route_query_gate(capsys):
             f"  {name:5s} ({result['frames']} frames): "
             + "  ".join(f"{phase} {cost[phase]:7.1f}" for phase in (*PHASES, "total"))
         )
+    lines.append("Dense world step by actor kind")
+    for kind, cost in world_split.items():
+        lines.append(
+            f"  {kind:11s} {cost['us_per_frame']:7.1f} us/frame  "
+            f"{cost['us_per_tick']:6.1f} us/tick ({cost['ticks']} ticks)"
+        )
+    lines.append(
+        f"Dense, multiplexed slot of {mux['slot']} ({mux['episodes']} episodes, "
+        f"{mux['frames']} frames): {mux['us_per_frame']:7.1f} us/episode-frame"
+    )
     lines += [
         f"Route queries per Expert.control ({routes['controls']} controls, smoke)",
         f"  as built  : {routes['current_us_per_control']:6.1f} us, "

@@ -22,7 +22,9 @@
 # (see benchmarks/test_bench_scene_setup.py).  And it gates route queries:
 # the expert's per-frame route queries must cost >= 2x less than the NumPy
 # reference path that scans on every query, alternating in one process,
-# recorded with the per-phase frame costs of the smoke and dense scenes in
+# recorded with the per-phase frame costs of the smoke and dense scenes,
+# the dense scene on a multiplexed slot of 4 and the dense world step
+# split by actor kind (NPC vehicles, pedestrians, ego physics) in
 # benchmarks/results/BENCH_frame_cost.json
 # (see benchmarks/test_bench_frame_cost.py).
 set -euo pipefail
@@ -159,13 +161,16 @@ grep -q "done  {'ok': 3}" "$SERVICE_DIR/service.txt"
 grep -q "byte-identical to serial run: True" "$SERVICE_DIR/service.txt"
 
 if [[ "${1:-}" == "--slow" ]]; then
-    echo "== slow tier: benchmarks (incl. sensor pipeline, multiplex and scene setup gates) =="
+    echo "== slow tier: benchmarks (incl. sensor pipeline, multiplex, scene setup and route-query gates) =="
     # The multiplex gate (benchmarks/test_bench_multiplex.py) fails the
     # tier if batched sensing drops below 1.5x single-episode serial per
-    # core on the dense scene, and records BENCH_multiplex.json.
+    # core on the dense scene, and records BENCH_multiplex.json; the
+    # scene-setup and frame-cost benches record BENCH_scene_setup.json
+    # and BENCH_frame_cost.json.
     python -m pytest -x -q -m slow
     test -s benchmarks/results/BENCH_multiplex.json
     test -s benchmarks/results/BENCH_scene_setup.json
+    test -s benchmarks/results/BENCH_frame_cost.json
     echo "== bench results =="
     ls -l benchmarks/results/
 fi

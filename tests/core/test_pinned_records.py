@@ -14,16 +14,23 @@ building violations, and a scenario whose scripted NPCs run the
 ``brake_on_proximity``, ``cut_in`` and ``run_junction`` (forced left
 turn) maneuvers; all three interrupt within the episode.
 
+Records describe the ego only, and the autopilot reads the world, not
+the sensors, so NPCs and pedestrians reach a record only when they come
+near the ego.  A third pin covers them: every actor's pose and speed
+after every frame, and the world RNG's end state, of the scenarios
+driven fault-free and of the scripted one under the compound fault.
+
 A deliberate behaviour change re-pins these values and says why.
 """
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
 
 from repro.agent import autopilot_agent_factory
-from repro.core import Campaign, standard_scenarios
+from repro.core import Campaign, EpisodeDriver, standard_scenarios
 from repro.core.faults import ControlStuckAt, GaussianNoise, OutputDelay, Trigger
 from repro.sim.actors import BehaviorSpec
 from repro.sim.builders import SimulationBuilder
@@ -38,6 +45,10 @@ PINNED_FINGERPRINTS = [
     "a535a308b858", "84a2a1be0039", "0ad7e076b4da", "9e388c6bc6e9",
     "acc05628d6f0", "4d9c8c408479", "5f355abcbf2d", "42a45daf40af",
 ]
+
+#: SHA-256 over every actor's pose and speed per frame and the world
+#: RNG's end state (:func:`_world_digest`).
+PINNED_WORLD_SHA256 = "6690dcecf79e57d8a2c866299e9813368df9f494c8b7382e5e2f37b0ba4f0ba9"
 
 #: SHA-256 of the JSONL checkpoint each executor writes.
 PINNED_CHECKPOINT_SHA256 = {
@@ -99,3 +110,36 @@ def test_campaign_records_match_their_pinned_bytes(tmp_path, executor, slot):
     assert [r.config_fingerprint for r in result.records] == PINNED_FINGERPRINTS
     digest = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
     assert digest == PINNED_CHECKPOINT_SHA256[executor]
+
+
+def _world_digest(builder, scenario, faults) -> bytes:
+    """Every actor's ``x, y, yaw, speed`` after every frame, then the
+    world RNG's end state, as bytes."""
+    out = []
+    driver = EpisodeDriver(builder, scenario, autopilot_agent_factory(), faults=faults)
+    driver.setup()
+    try:
+        driver.start()
+        while driver.begin_frame():
+            driver.step_client()
+            driver.step_world()
+            driver.complete_frame(driver.sense())
+            for actor in driver.world.actors:
+                pose = actor.transform
+                out.append(struct.pack(
+                    "<4d", pose.position.x, pose.position.y, pose.yaw, actor.speed()
+                ))
+        out.append(repr(driver.world.rng.bit_generator.state).encode())
+    finally:
+        driver.close()
+    return b"".join(out)
+
+
+def test_actor_trajectories_and_rng_end_states_match_their_pin():
+    builder = SimulationBuilder(camera=CameraModel(width=16, height=12), with_lidar=True)
+    scenarios = _scenarios()
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        digest.update(_world_digest(builder, scenario, []))
+    digest.update(_world_digest(builder, scenarios[-1], _injectors()["compound"]))
+    assert digest.hexdigest() == PINNED_WORLD_SHA256

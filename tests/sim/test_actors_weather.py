@@ -117,6 +117,26 @@ class TestNPCVehicle:
         assert not npc.bounding_box().overlaps(blocker.bounding_box())
         assert npc.speed() < 1.0  # stopped behind the blocker
 
+    def test_path_length_estimate_tracks_the_scan(self, town):
+        """``_extend_path`` decides on ``|pos - path[0]| + _tail`` away
+        from 40 m and scans only near it; its proof needs ``_seg`` to hold
+        the scan's own summands and the estimate to stay far inside the
+        1e-6 m band it leaves to the scan."""
+        world = World(town, seed=11)
+        world.populate(6, 3)
+        npcs = [a for a in world.actors if isinstance(a, NPCVehicle)]
+        assert npcs
+        for _ in range(15 * 40):
+            world.tick()
+            for npc in npcs:
+                path = npc._path
+                assert len(npc._seg) == len(path) - 1
+                for (ax, ay), (bx, by), step in zip(path, path[1:], npc._seg):
+                    assert step == math.hypot(ax - bx, ay - by)
+                ax, ay = path[0]
+                estimate = math.hypot(npc._x - ax, npc._y - ay) + npc._tail
+                assert abs(estimate - npc._path_length_ahead()) < 1e-9
+
     def test_deterministic_under_same_seed(self, town):
         def run():
             world = World(town, seed=42)

@@ -88,6 +88,75 @@ def test_point_and_heading_match_reference_bitwise(data):
     assert _hex(pl.heading_at(station)) == _hex(reference_heading_at(pl, station))
 
 
+@st.composite
+def walked_polylines(draw):
+    """Up to 40 vertices by random steps, some axis-aligned or doubling
+    back, so equal distances to two segments (ties) occur."""
+    steps = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)) | st.sampled_from(
+        [(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0)]
+    )
+    x, y = draw(coords), draw(coords)
+    pts = [Vec2(x, y)]
+    for dx, dy in draw(st.lists(steps, min_size=1, max_size=39)):
+        x, y = x + dx, y + dy
+        pts.append(Vec2(x, y))
+    try:
+        return Polyline(pts)
+    except ValueError:
+        assume(False)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_windowed_locate_along_a_walk_matches_reference_bitwise(data):
+    """Nearby successive queries go through the windowed search from the
+    last answer; every answer is still the full scan's, ties and signed
+    zeros included."""
+    pl = data.draw(walked_polylines())
+    p = data.draw(query_points(pl))
+    x, y = p.x, p.y
+    moves = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)) | st.sampled_from(
+        [(0.0, 0.0), (0.5, 0.0), (0.0, -0.5)]
+    )
+    for _ in range(12):
+        if data.draw(st.booleans()):
+            p = data.draw(query_points(pl))
+            x, y = p.x, p.y
+        else:
+            dx, dy = data.draw(moves)
+            x, y = x + dx, y + dy
+        q = Vec2(x, y)
+        assert _hex(*pl.locate(q)) == _hex(*reference_locate(pl, q))
+
+
+def test_windowed_locate_scans_rarely_along_a_route(monkeypatch):
+    """Driving along a route, most poses are answered by the window: a
+    full scan runs only after ``_WINDOW_M`` of travel (or a crowded
+    window), and every answer is the reference's."""
+    scenario = standard_scenarios(
+        1, seed=3, town_config=GridTownConfig(rows=2, cols=3),
+        min_distance=60, max_distance=160,
+    )[0]
+    route = RoutePlanner(build_grid_town(GridTownConfig(rows=2, cols=3))).plan(
+        scenario.mission.start.position, scenario.mission.goal,
+        start_yaw=scenario.mission.start.yaw,
+    )
+    pl = route.polyline
+    scans = []
+    scan = Polyline._scan
+
+    def counting(self, x, y):
+        scans.append((x, y))
+        return scan(self, x, y)
+
+    monkeypatch.setattr(Polyline, "_scan", counting)
+    poses = [pl.point_at(0.37 * k) for k in range(int(pl.length / 0.37))]
+    for k, on_route in enumerate(poses):
+        q = Vec2(on_route.x + 0.8 * math.sin(k / 7.0), on_route.y - 0.3)
+        assert _hex(*pl.locate(q)) == _hex(*reference_locate(pl, q))
+    assert len(scans) < len(poses) / 4
+
+
 def test_locate_signed_zero_queries_are_not_confused():
     # 0.0 == -0.0, so a remembered answer must not be handed out across
     # the two: here they differ in the sign of the lateral offset's zero.
