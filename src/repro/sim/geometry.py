@@ -574,10 +574,26 @@ class Polyline:
         the two can give differently signed zero offsets.
 
         The answer is the segment with the first minimal squared distance
-        ``d2`` (ties go to the lower index, as ``np.argmin``), found by
-        :meth:`_nearest`: a windowed search near the last full scan, or a
-        full scan.  Both give that segment's ``d2``, ``t`` and offset
-        with the same elementwise operations, so the same bits.
+        ``d2`` (ties go to the lower index, as ``np.argmin``).  A new pose
+        is searched from the last answer's segment (:meth:`_nearest`): a
+        full scan (:meth:`_scan`) at point ``s`` records every segment's
+        distance ``D_j = sqrt(d2_j(s))``, sorted, and a later query ``p``
+        with ``delta = |p - s| <= _WINDOW_M`` first evaluates the last
+        answer's segment, giving ``best``.  By the triangle inequality the
+        distance from ``p`` to segment ``j`` is at least ``D_j - delta``,
+        so a segment with ``D_j > sqrt(best) + delta + margin`` has a
+        ``d2`` strictly above ``best``: it can hold neither the minimum
+        nor a tie with it, and the sorted tail of such segments is
+        skipped as one block.  Every other segment is evaluated, and the
+        first minimal ``d2`` among them (lowest index on a tie) is the
+        full scan's argmin.  ``margin`` is ``1e-9`` times the coordinate
+        scale, orders of magnitude above the few ulps by which computed
+        distances can differ from exact ones.  Each evaluated segment's
+        ``d2``, ``t`` and offset come from :func:`_segment_offset`, the
+        full scan's elementwise operations one element at a time, so the
+        answer has the full scan's bits.  Non-finite queries, and windows
+        that would hold more than :data:`_WINDOW_MAX` segments, scan in
+        full.
         """
         x, y = point.x, point.y
         memo = self._locate_memo
@@ -594,23 +610,9 @@ class Polyline:
     _WINDOW_MAX = 12
 
     def _nearest(self, x: float, y: float) -> tuple[float, float]:
-        """The nearest segment to ``(x, y)``, searched from the last answer.
-
-        A full scan (:meth:`_scan`) at point ``s`` records every segment's
-        distance ``D_j = sqrt(d2_j(s))``, sorted.  A later query ``p``
-        with ``delta = |p - s| <= _WINDOW_M`` first evaluates the last
-        answer's segment, giving ``best``.  By the triangle inequality the
-        distance from ``p`` to segment ``j`` is at least ``D_j - delta``,
-        so a segment with ``D_j > sqrt(best) + delta + margin`` has a
-        ``d2`` strictly above ``best``: it can hold neither the minimum
-        nor a tie with it, and the sorted tail of such segments is
-        skipped as one block.  Every other segment is evaluated, and the
-        first minimal ``d2`` among them (lowest index on a tie) is the
-        full scan's argmin.  ``margin`` is ``1e-9`` times the coordinate
-        scale, many orders above the few ulps by which computed distances
-        can differ from exact ones.  Non-finite queries, and windows that
-        would hold more than :data:`_WINDOW_MAX` segments, scan in full.
-        """
+        """``(station, lateral)`` of the nearest segment, searched from the
+        last answer inside the window of the last full scan (see
+        :meth:`locate` for why the answer is the full scan's)."""
         window = self._window
         if window is not None and math.isfinite(x) and math.isfinite(y):
             sx, sy, dist, order, start = window
@@ -648,7 +650,10 @@ class Polyline:
         if math.isfinite(x) and math.isfinite(y):
             dist = np.sqrt(d2)
             order = np.argsort(dist, kind="stable")
-            self._window = (x, y, dist[order].tolist(), order.tolist(), idx)
+            ranked = dist[order].tolist()
+            # A window needs every distance finite (NaN and inf sort last).
+            if math.isfinite(ranked[-1]):
+                self._window = (x, y, ranked, order.tolist(), idx)
         station = cum[idx] + float(t[idx]) * seg_len[idx]
         _, _, dx, dy = rows[idx]
         rx, ry = rel[idx].tolist()
