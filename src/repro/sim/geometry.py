@@ -503,34 +503,31 @@ class Polyline:
         #: ``(x, y, sorted distances, segment order, last answer)`` of the
         #: windowed search (:meth:`_nearest`), opened by each full scan.
         self._window: tuple | None = None
+        #: The windowed search's segment rows ``(x0, y0, ab_x, ab_y,
+        #: denom)`` and coordinate scale (the largest vertex coordinate
+        #: magnitude), built by the first full scan.
+        self._segs: tuple | None = None
 
     def _tables(self) -> tuple:
         """``(stations, segment lengths, segment rows, scan tables)``.
 
         Python-list mirrors of the cumulative stations and segment
-        lengths, per segment ``(x0, y0, dir_x, dir_y)`` float tuples, the
-        segment vectors and clamped squared lengths :meth:`_scan` scans,
-        the same per segment as ``(x0, y0, ab_x, ab_y, denom)`` float
-        tuples for the windowed search, and the largest vertex coordinate
-        magnitude (the scale of its rounding margin).  Built on the first
-        query, as most polylines (road centrelines, stripes, connectors)
-        are never queried, and kept in one attribute so concurrent first
-        queries agree.
+        lengths, per segment ``(x0, y0, dir_x, dir_y)`` float tuples, and
+        the segment vectors and clamped squared lengths :meth:`_scan`
+        scans.  Built on the first query, as most polylines (road
+        centrelines, stripes, connectors) are never queried, and kept in
+        one attribute so concurrent first queries agree.
         """
         tables = self._lookup
         if tables is None:
             ab = np.diff(self._xy, axis=0)
-            denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-18)
             rows = np.hstack([self._xy[:-1], self._seg_dir]).tolist()
-            segs = np.hstack([self._xy[:-1], ab, denom[:, None]]).tolist()
             tables = self._lookup = (
                 self._cum.tolist(),
                 self._seg_len.tolist(),
                 [tuple(row) for row in rows],
                 ab,
-                denom,
-                [tuple(seg) for seg in segs],
-                float(np.abs(self._xy).max()),
+                np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-18),
             )
         return tables
 
@@ -546,7 +543,7 @@ class Polyline:
 
     def point_at(self, station: float) -> Vec2:
         """Point at arc length ``station`` (clamped to the path extent)."""
-        cum, _, rows, _, _, _, _ = self._lookup or self._tables()
+        cum, _, rows, _, _ = self._lookup or self._tables()
         s = min(max(station, 0.0), self._length)
         idx = min(bisect_right(cum, s) - 1, len(rows) - 1)
         x0, y0, dx, dy = rows[idx]
@@ -555,7 +552,7 @@ class Polyline:
 
     def heading_at(self, station: float) -> float:
         """Tangent heading at arc length ``station``."""
-        cum, _, rows, _, _, _, _ = self._lookup or self._tables()
+        cum, _, rows, _, _ = self._lookup or self._tables()
         s = min(max(station, 0.0), self._length - 1e-9)
         idx = min(max(bisect_right(cum, s) - 1, 0), len(rows) - 1)
         _, _, dx, dy = rows[idx]
@@ -618,7 +615,8 @@ class Polyline:
             sx, sy, dist, order, start = window
             delta = math.hypot(x - sx, y - sy)
             if delta <= self._WINDOW_M:
-                cum, seg_len, rows, _, _, segs, scale = self._lookup
+                cum, seg_len, rows, _, _ = self._lookup
+                segs, scale = self._segs
                 best = _segment_offset(segs[start], x, y)
                 reach = math.sqrt(best[0]) + delta + 1e-9 * (1.0 + scale + abs(x) + abs(y))
                 end = bisect_right(dist, reach)
@@ -637,7 +635,7 @@ class Polyline:
 
     def _scan(self, x: float, y: float) -> tuple[float, float]:
         """One full segment scan for :meth:`locate`; opens a new window."""
-        cum, seg_len, rows, ab, denom, _, _ = self._lookup or self._tables()
+        cum, seg_len, rows, ab, denom = self._lookup or self._tables()
         p = np.array([x, y])
         a = self._xy[:-1]
         # np.clip(t, 0, 1) without its dispatch overhead.  The operand
@@ -653,6 +651,12 @@ class Polyline:
             ranked = dist[order].tolist()
             # A window needs every distance finite (NaN and inf sort last).
             if math.isfinite(ranked[-1]):
+                if self._segs is None:
+                    segs = np.hstack([a, ab, denom[:, None]]).tolist()
+                    self._segs = (
+                        [tuple(seg) for seg in segs],
+                        float(np.abs(self._xy).max()),
+                    )
                 self._window = (x, y, ranked, order.tolist(), idx)
         station = cum[idx] + float(t[idx]) * seg_len[idx]
         _, _, dx, dy = rows[idx]

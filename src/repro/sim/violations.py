@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .actors import Vehicle
     from .world import World
@@ -255,10 +254,9 @@ class ViolationMonitor:
                 new_events.append(event)
 
         # Close contacts that separated this frame.
-        if self._contacts:
-            for key in list(self._contacts):
-                if key not in current:
-                    self._contacts.pop(key).end_frame = frame
+        for key in list(self._contacts):
+            if key not in current:
+                self._contacts.pop(key).end_frame = frame
         return new_events
 
     # ------------------------------------------------------------------
