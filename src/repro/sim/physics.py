@@ -165,9 +165,9 @@ class BicycleModel:
     ) -> tuple[float, float, float, float]:
         """:meth:`step` on plain floats: ``(x, y, yaw, speed)`` after ``dt``.
 
-        The one integrator: :meth:`step` unpacks into it, and NPC traffic
-        calls it directly so its per-tick loop builds no state or control
-        objects.  The command must already be sanitised (what
+        The one integrator: :meth:`step` unpacks into it, and a vehicle's
+        tick calls it directly, so the per-tick loop builds no state or
+        control objects.  The command must already be sanitised (what
         :meth:`VehicleControl.clamped` returns).
         """
         if dt <= 0.0:
