@@ -53,31 +53,17 @@ python -m repro spec emit campaign --runs 2 | python -m repro spec validate -
 
 echo "== smoke: compound-fault campaign + streaming report =="
 # Compound (multi-fault) episodes end-to-end: the compound spec expands
-# its cartesian pairs, runs with a JSONL checkpoint (+ parquet sink when
-# pyarrow is installed — degrades with a warning when not), and the
-# streaming `avfi report` computes interaction effects from the file.
+# its cartesian pairs, runs with a JSONL checkpoint, and the streaming
+# `avfi report` computes interaction effects from the file.
 COMPOUND_DIR="$(mktemp -d)"
 CHAOS_DIR="$(mktemp -d)"
 SERVICE_DIR="$(mktemp -d)"
 trap 'rm -rf "$COMPOUND_DIR" "$CHAOS_DIR" "$SERVICE_DIR"' EXIT
 python -m repro run examples/specs/compound.json --workers 1 \
-    --checkpoint "$COMPOUND_DIR/results.jsonl" \
-    --parquet "$COMPOUND_DIR/results.parquet"
+    --checkpoint "$COMPOUND_DIR/results.jsonl"
 python -m repro report "$COMPOUND_DIR/results.jsonl" | tee "$COMPOUND_DIR/report_jsonl.txt"
 grep -q "pairs:gaussian+output-delay" "$COMPOUND_DIR/report_jsonl.txt"
 grep -q "compound-fault interaction effects" "$COMPOUND_DIR/report_jsonl.txt"
-if python -c "import pyarrow" 2>/dev/null; then
-    echo "== smoke: parquet sink round-trip =="
-    # With pyarrow installed the sink must exist and report identically
-    # to the JSONL checkpoint (same records, other container).
-    python -m repro report "$COMPOUND_DIR/results.parquet" --parquet \
-        | tee "$COMPOUND_DIR/report_parquet.txt"
-    diff <(tail -n +2 "$COMPOUND_DIR/report_jsonl.txt") \
-         <(tail -n +2 "$COMPOUND_DIR/report_parquet.txt")
-else
-    echo "== smoke: parquet sink skipped (pyarrow not installed; JSONL fallback verified above) =="
-    test ! -e "$COMPOUND_DIR/results.parquet"
-fi
 
 echo "== smoke: declarative-vs-programmatic equivalence =="
 python examples/declarative_campaign.py --runs 1
@@ -134,6 +120,9 @@ python -m repro report "$CHAOS_DIR/broker/results.jsonl" | tee "$CHAOS_DIR/repor
 grep -q "quarantined episodes" "$CHAOS_DIR/report.txt"
 grep -q "chaos-crash" "$CHAOS_DIR/report.txt"
 grep -q "chaos-hang" "$CHAOS_DIR/report.txt"
+# `avfi queue-status` counts the same checkpoint through broker.status().
+python -m repro queue-status "$CHAOS_DIR/broker" | tee "$CHAOS_DIR/status.txt"
+grep -Eq "^ +results: [1-9]" "$CHAOS_DIR/status.txt"
 
 echo "== smoke: generative grammar campaign (expand + serial-vs-queue identity) =="
 # The grammar suite form end-to-end: `avfi spec expand` renders the

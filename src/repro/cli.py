@@ -3,11 +3,10 @@
 Subcommands:
 
 * ``run`` — execute a declarative campaign spec (``avfi run spec.json``),
-  with ``--workers``/``--queue-dir``/``--parquet`` overrides; the primary
-  entry point;
-* ``report`` — streaming metrics report over a results checkpoint
-  (JSONL or parquet; ``--parquet`` forces the columnar reader), with
-  per-injector metrics, baseline effects and compound-fault interaction
+  with ``--workers``/``--queue-dir``/``--checkpoint`` overrides; the
+  primary entry point;
+* ``report`` — streaming metrics report over a JSONL results checkpoint,
+  with per-injector metrics, baseline effects and compound-fault interaction
   effects — aggregation never materialises the record set, so it scales
   to million-episode files;
 * ``spec emit`` — print the spec the built-in ``campaign``/``sweep-delay``
@@ -284,7 +283,6 @@ def cmd_run(args) -> None:
             queue_dir=args.queue_dir,
             lease_s=args.lease,
             checkpoint_path=args.checkpoint,
-            parquet_path=args.parquet,
             fault_tolerance=fault_tolerance,
             episodes_per_slot=args.episodes_per_slot,
         )
@@ -412,12 +410,11 @@ def cmd_report(args) -> None:
     from .core.metrics import MetricsAccumulator
     from .core.outcomes import EpisodeFailure
     from .core.reporting import quarantine_table
-    from .core.sink import ParquetUnavailable, iter_records
+    from .core.resultlog import ResultLog
 
     path = Path(args.checkpoint)
     if not path.exists():
         _fail("report", f"no such results file: {path}")
-    fmt = "parquet" if args.parquet else "auto"
     # One streaming pass: records fold into per-injector accumulators as
     # they come off disk, so a million-episode file never loads at once.
     # Failure rows count toward the accumulators' failure_counts and
@@ -427,14 +424,12 @@ def cmd_report(args) -> None:
     n_records = 0
     failures: list[EpisodeFailure] = []
     try:
-        for record in iter_records(path, fmt=fmt):
+        for record in ResultLog(path):
             groups.setdefault(record.injector, MetricsAccumulator()).add(record)
             if isinstance(record, EpisodeFailure):
                 failures.append(record)
             else:
                 n_records += 1
-    except ParquetUnavailable as exc:
-        raise SystemExit(f"avfi report: {exc}")
     except ValueError as exc:
         raise SystemExit(f"avfi report: {exc}")
     if not groups:
@@ -560,7 +555,9 @@ def cmd_train(args) -> None:
 def cmd_worker(args) -> None:
     from .core.queue import run_worker
 
-    drained = run_worker(
+    # Verbose: the drain prints each episode and, at the end, why it
+    # stopped (queue idle, or --max-tasks claims retired).
+    run_worker(
         args.queue_dir,
         worker_id=args.worker_id,
         lease_s=args.lease,
@@ -570,10 +567,6 @@ def cmd_worker(args) -> None:
         verbose=True,
         episodes_per_slot=args.episodes_per_slot,
     )
-    if args.max_tasks is not None and drained >= args.max_tasks:
-        print(f"reached --max-tasks; this worker completed {drained} episode(s)")
-    else:
-        print(f"queue idle; this worker completed {drained} episode(s)")
 
 
 def cmd_queue_status(args) -> None:
@@ -581,12 +574,16 @@ def cmd_queue_status(args) -> None:
     from pathlib import Path
 
     from .core.netqueue import is_broker_url, make_broker
+    from .core.queue import BrokerError
 
     if not is_broker_url(args.queue_dir) and not Path(args.queue_dir).is_dir():
         _fail("queue-status", f"no such queue directory: {args.queue_dir}")
     broker = make_broker(args.queue_dir)
     manifest = broker.manifest() or {}
-    status = broker.status()
+    try:
+        status = broker.status()
+    except (ValueError, BrokerError) as exc:  # a corrupt results checkpoint
+        raise SystemExit(f"avfi queue-status: {exc}")
     print(f"queue: {args.queue_dir}")
     if manifest:
         created = manifest.get("created_at")
@@ -738,13 +735,14 @@ def cmd_submit(args) -> None:
         print(f"results -> {args.save}")
     from .core import format_table, metrics_by_injector
     from .core.campaign import RunRecord
+    from .core.resultlog import parse_lines
 
-    records = []
-    for line in results.decode().splitlines():
-        row = json.loads(line)
-        if "outcome" not in row:
-            records.append(RunRecord(**row))
-    metrics = metrics_by_injector(records)
+    source = f"{url}/campaigns/{sub_id}/results"
+    try:
+        built = list(parse_lines(results, source))
+    except ValueError as exc:
+        raise SystemExit(f"avfi submit: {exc}")
+    metrics = metrics_by_injector(row for row in built if isinstance(row, RunRecord))
     rows = [
         [n, m.n_runs, m.msr, m.vpk, m.apk, m.ttv_median_s if m.ttv_s else None]
         for n, m in metrics.items()
@@ -811,15 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         "execution.checkpoint)",
     )
     p.add_argument(
-        "--parquet",
-        default=None,
-        metavar="PATH",
-        help="also stream records into a parquet analytics sink beside "
-        "the JSONL checkpoint (needs the optional pyarrow dependency; "
-        "degrades to JSONL-only with a warning; overrides the spec's "
-        "execution.parquet)",
-    )
-    p.add_argument(
         "--max-attempts",
         type=_positive_int,
         default=None,
@@ -849,19 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="streaming metrics report over a results checkpoint "
-        "(JSONL or parquet)",
+        help="streaming metrics report over a JSONL results checkpoint",
     )
-    p.add_argument(
-        "checkpoint",
-        help="results file: a JSONL checkpoint or a parquet sink "
-        "(format from the .parquet suffix unless --parquet)",
-    )
-    p.add_argument(
-        "--parquet",
-        action="store_true",
-        help="force the parquet reader regardless of file suffix",
-    )
+    p.add_argument("checkpoint", help="results file: a JSONL checkpoint")
     p.add_argument(
         "--baseline",
         default="none",

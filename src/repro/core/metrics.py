@@ -29,7 +29,7 @@ no per-km events), matching the per-run properties on
 at a time into per-group aggregates (scalars plus per-run floats — never
 the records themselves, whose violation/fault payloads dominate memory),
 so million-episode checkpoints aggregate in one pass over a record
-*iterator* (:func:`~repro.core.sink.iter_records`).  The batch helpers
+*iterator* (a :class:`~repro.core.resultlog.ResultLog`).  The batch helpers
 :func:`compute_metrics` / :func:`metrics_by_injector` are thin wrappers
 over the same accumulator, so streamed and in-memory aggregation are
 equal by construction.
@@ -158,7 +158,7 @@ class MetricsAccumulator:
     Folds records in one at a time, keeping only scalar aggregates and
     per-run floats — memory stays O(runs) small floats rather than
     O(runs × violations) record payloads, which is what lets a single
-    pass over a million-episode parquet/JSONL checkpoint compute the
+    pass over a million-episode JSONL checkpoint compute the
     full metric set.  :meth:`result` yields the identical
     :class:`ResilienceMetrics` the batch path produces (same fold order,
     same float arithmetic).
@@ -182,7 +182,7 @@ class MetricsAccumulator:
         """Fold one completed run into the aggregates.
 
         :class:`~repro.core.outcomes.EpisodeFailure` rows (as streamed
-        by ``iter_records`` from a checkpoint that saw crashes or
+        by a :class:`~repro.core.resultlog.ResultLog` that saw crashes or
         quarantines) are dispatched to :meth:`add_failure` — counted,
         never folded into the mission metrics.
         """
@@ -249,7 +249,7 @@ def compute_metrics(records: Iterable[RunRecord]) -> ResilienceMetrics:
     """Aggregate one group of runs into :class:`ResilienceMetrics`.
 
     Accepts any iterable — a list, or a streaming record iterator from
-    :func:`~repro.core.sink.iter_records` — and folds it through a
+    :class:`~repro.core.resultlog.ResultLog` — and folds it through a
     :class:`MetricsAccumulator` in one pass, never materialising the
     record set.  An empty group is valid (see the module's empty-slice
     convention): rates come back NaN, counts 0 — so summarising a

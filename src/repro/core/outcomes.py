@@ -17,7 +17,7 @@ episode hung it forever.  This module makes episode failure a first-class
   It carries the same identity fields as a ``RunRecord``
   (``injector``/``scenario``/``seed``/``config_fingerprint``) so it is
   checkpointed *beside* normal records, streamed by
-  :func:`~repro.core.sink.iter_records`, counted by
+  :class:`~repro.core.resultlog.ResultLog`, counted by
   :class:`~repro.core.metrics.MetricsAccumulator` (never folded into
   MSR/VPK) and deduplicated on resume exactly like a record;
 * :class:`FaultTolerancePolicy` — how hard the executors try before

@@ -27,7 +27,7 @@ each method pickles or parses at most, then runs one protocol op through
 :class:`FilesystemBroker`, whose ``op_<name>`` methods are the op table:
 a shared directory (local disk for same-machine workers, NFS or similar
 for a cluster).  Claims are atomic ``rename(2)`` moves, appends are
-single ``O_APPEND`` writes (see :func:`~repro.core.runner.append_jsonl_line`),
+single ``O_APPEND`` writes (see :mod:`~repro.core.resultlog`),
 and every mutation is a file operation — no server process to operate:
 
 .. code-block:: text
@@ -107,15 +107,13 @@ from contextlib import ExitStack
 from .campaign import RunRecord
 from .multiplex import EpisodeMultiplexer, multiplex_slot_size
 from .outcomes import EpisodeFailure, reap_process
+from .resultlog import ResultLog, build_rows
 from .runner import (
     CampaignContext,
     EpisodeTask,
     _init_worker,
-    append_jsonl_line,
     context_policy,
-    load_checkpoint_rows,
     record_identity,
-    repair_jsonl_tail,
 )
 
 __all__ = [
@@ -254,19 +252,6 @@ def _b64(blob: bytes) -> str:
 
 def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
-
-
-def _parse_rows(rows, build) -> list:
-    """``build(row)`` for every row that fits; a row of a foreign schema
-    (another repro build sharing the checkpoint) is skipped — it could
-    never match a grid identity anyway."""
-    out = []
-    for row in rows:
-        try:
-            out.append(build(row))
-        except (TypeError, KeyError, ValueError):
-            continue
-    return out
 
 
 @dataclass
@@ -485,10 +470,9 @@ class Broker:
 
     def append_failure(self, failure: EpisodeFailure) -> None:
         """Durably append one quarantine row.  It lives in the same
-        checkpoint as records — the ``outcome`` key is the discriminator,
-        and :func:`~repro.core.runner.load_checkpoint_rows` folds both
-        back (so a resumed campaign never re-runs a quarantined
-        episode)."""
+        checkpoint as records — the ``outcome`` key is the discriminator
+        (:mod:`~repro.core.resultlog`), and a resuming campaign folds
+        both back, so it never re-runs a quarantined episode."""
         self._call("append_row", {"row": failure.to_dict()})
 
     def read_results(
@@ -499,8 +483,7 @@ class Broker:
         result = self._call(
             "read_results", {"offset": int(offset), **self._wait_arg(wait_s)}
         )
-        records = _parse_rows(result["rows"], lambda row: RunRecord(**row))
-        return int(result["offset"]), records
+        return int(result["offset"]), build_rows(result["rows"], RunRecord)
 
     def checkpoint_rows(self) -> tuple[list[RunRecord], list[EpisodeFailure]]:
         """The full checkpoint, parsed — what a resuming coordinator
@@ -508,8 +491,8 @@ class Broker:
         episodes are still pending."""
         result = self._call("checkpoint_rows")
         return (
-            _parse_rows(result["records"], lambda row: RunRecord(**row)),
-            _parse_rows(result["failures"], EpisodeFailure.from_dict),
+            build_rows(result["records"], RunRecord),
+            build_rows(result["failures"], EpisodeFailure),
         )
 
     def result_identities(self) -> set[tuple[str, str, int, str]]:
@@ -570,6 +553,7 @@ class FilesystemBroker(Broker):
         self.quarantined_dir = self.root / "quarantined"
         self.workers_dir = self.root / "workers"
         self.results_path = self.root / "results.jsonl"
+        self.results_log = ResultLog(self.results_path)
         self.context_path = self.root / "context.pkl"
         self.manifest_path = self.root / "manifest.json"
         #: Optional archived CampaignSpec (JSON) — written by publish()
@@ -1015,57 +999,34 @@ class FilesystemBroker(Broker):
     def op_repair_results(self) -> int:
         """A torn final line comes from a crashed non-atomic writer or
         filesystem-level truncation."""
-        return repair_jsonl_tail(self.results_path)
+        return self.results_log.repair()
 
     def op_append_row(self, row: dict) -> None:
-        append_jsonl_line(self.results_path, row)
+        self.results_log.append(row)
         self._wake()
 
     def op_checkpoint_rows(self) -> dict:
-        records, failures = load_checkpoint_rows(self.results_path)
-        return {
-            "records": [r.to_dict() for r in records],
-            "failures": [f.to_dict() for f in failures],
-        }
+        _, records, failures = self.results_log.read(0)
+        return {"records": records, "failures": failures}
 
     def op_read_results(self, offset: int = 0, wait_s: float = 0) -> dict:
-        """Complete lines past ``offset``.  When there are none yet, waits
-        up to ``wait_s`` for the next op on this root that wakes waiters
-        (an append, but also a parked failure, a publish or a requeue)
-        and reads once more, so an empty answer before ``wait_s`` ran out
+        """The rows without an ``outcome`` key on complete lines past
+        ``offset``, unbuilt (:meth:`Broker.read_results` builds them and
+        drops a foreign row).  When there are none yet, waits up to
+        ``wait_s`` for the next op on this root that wakes waiters (an
+        append, but also a parked failure, a publish or a requeue) and
+        reads once more, so an empty answer before ``wait_s`` ran out
         tells the caller something else changed.  A trailing partial
         line (an append in flight on another machine) stays unread until
-        the next read.  Lines that don't parse as records are skipped —
-        foreign rows never match a grid identity anyway."""
+        the next read."""
         offset = int(offset)
         return self._wait_for(
             lambda: self._read_results_once(offset), wait_s, until_result=False
         ) or {"offset": offset, "rows": []}
 
     def _read_results_once(self, offset: int) -> dict | None:
-        try:
-            with open(self.results_path, "rb") as fh:
-                fh.seek(offset)
-                data = fh.read()
-        except FileNotFoundError:
-            return None
-        end = data.rfind(b"\n")
-        if end < 0:
-            return None
-        rows = []
-        for line in data[:end].split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                # Validate with the constructor and ship the parsed row:
-                # the reader's RunRecord(**row) rebuilds the same record
-                # that re-serialising it here would have sent.
-                RunRecord(**row)
-            except (json.JSONDecodeError, TypeError):
-                continue
-            rows.append(row)
-        return {"offset": offset + end + 1, "rows": rows}
+        end, records, _ = self.results_log.read(offset)
+        return {"offset": end, "rows": records} if end > offset else None
 
     # -- artifacts (content-addressed warm-start blobs) ----------------
 
@@ -1188,7 +1149,8 @@ def run_worker(
     ``idle_timeout`` seconds — i.e. nothing is pending and no live lease
     could still expire back into the queue, or once it has run
     ``max_tasks`` claims to an end, completed or parked as failed.
-    Returns the number of episodes this worker completed.
+    Returns the number of episodes this worker completed; ``verbose``
+    also prints which of the two ended the drain.
     """
     worker_id = worker_id or default_worker_id()
     if broker is None:
@@ -1282,6 +1244,7 @@ def _drain(
                 if idle_since is None:
                     idle_since = time.monotonic()
                 elif time.monotonic() - idle_since >= idle_timeout:
+                    ending = "queue idle"
                     break
             else:
                 idle_since = None
@@ -1383,8 +1346,11 @@ def _drain(
                 if verbose:
                     print(f"[worker {worker_id}] {claim.name} FAILED: {exc!r}")
         if max_tasks is not None and retired >= max_tasks:
+            ending = f"reached max_tasks ({retired} claims retired)"
             break
     broker.heartbeat_worker(worker_id, done)
+    if verbose:
+        print(f"[worker {worker_id}] {ending}; completed {done} episode(s)")
     return done
 
 

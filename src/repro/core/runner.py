@@ -13,15 +13,9 @@ resumes it, and three invariants survive every way of distributing it:
   (injector-major, scenario-minor), so aggregate metrics and summary rows
   are byte-identical to a serial run;
 * **resumability** — each finished episode is appended to a JSONL
-  checkpoint, so an interrupted overnight sweep restarts where it
-  stopped and never executes an episode twice.
-
-Beside the JSONL checkpoint a campaign can stream a **parquet sink**
-(``parquet_path=``, :class:`~repro.core.sink.ParquetSink`): the JSONL
-file stays the durability layer (atomic appends, resume identity), the
-parquet copy is the analytics artifact for million-episode aggregation.
-When pyarrow is missing the campaign degrades to JSONL-only with a
-warning rather than failing.
+  checkpoint (:class:`~repro.core.resultlog.ResultLog`), so an
+  interrupted overnight sweep restarts where it stopped and never
+  executes an episode twice.
 
 Executors are plain *transports*: :class:`SerialExecutor` runs tasks
 in-process through one :class:`~repro.core.multiplex.EpisodeMultiplexer`
@@ -44,7 +38,6 @@ ground truth every distributed run must reproduce exactly.
 from __future__ import annotations
 
 import copy
-import json
 import multiprocessing
 import os
 import pickle
@@ -72,6 +65,7 @@ from .outcomes import (
     FaultTolerancePolicy,
     reap_process,
 )
+from .resultlog import ResultLog, append_jsonl_line
 
 __all__ = [
     "EpisodeTask",
@@ -85,185 +79,15 @@ __all__ = [
     "ProcessExecutor",
     "make_executor",
     "append_jsonl_line",
-    "repair_jsonl_tail",
     "record_identity",
-    "load_checkpoint_records",
-    "load_checkpoint_rows",
     "Campaign",
 ]
-
-
-def repair_jsonl_tail(path: str | Path) -> int:
-    """Physically drop a torn final line (a hard kill / full disk left a
-    partial record); returns the number of bytes removed.
-
-    :func:`load_checkpoint_records` already *ignores* a trailing
-    fragment, but ignoring is not enough once anyone appends again: the
-    next record would be glued onto the fragment with no newline between
-    them, turning one recoverable tear into an unparseable interior line
-    that poisons every later resume.  Truncating back to the last
-    complete line before appending resumes makes the silent in-memory
-    drop physical.  Safe to run while atomic appenders
-    (:func:`append_jsonl_line`) are live: their single-write lines never
-    leave the file transiently newline-less, appenders hold a shared
-    ``flock`` for the write's duration (so the exclusive lock here waits
-    out any in-flight append rather than mistaking its partial
-    visibility for a tear), and concurrent *repairers* re-read the file
-    under the exclusive lock, so a stale pre-repair read can never
-    truncate away a record appended in between.
-    """
-    path = Path(path)
-    try:
-        fh = open(path, "rb+")
-    except FileNotFoundError:
-        return 0
-    with fh:
-        try:
-            import fcntl
-
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        except (ImportError, OSError):
-            pass  # no flock (non-POSIX / odd mount): best-effort repair
-        # Scan backwards in chunks for the last newline — a fragment is
-        # at most one record, so this is O(tail), not O(checkpoint),
-        # which matters because every worker attach runs it under the
-        # exclusive lock that stalls all appenders.
-        size = fh.seek(0, os.SEEK_END)
-        if size == 0:
-            return 0
-        chunk = 65536
-        pos = size
-        last_newline = -1
-        while pos > 0 and last_newline < 0:
-            start = max(0, pos - chunk)
-            fh.seek(start)
-            buf = fh.read(pos - start)
-            if pos == size and buf.endswith(b"\n"):
-                return 0  # clean tail, nothing to repair
-            index = buf.rfind(b"\n")
-            if index >= 0:
-                last_newline = start + index
-            pos = start
-        new_size = last_newline + 1 if last_newline >= 0 else 0
-        fh.truncate(new_size)
-        os.fsync(fh.fileno())
-    return size - new_size
-
-
-def append_jsonl_line(path: str | Path, obj: dict) -> None:
-    """Durably append ``obj`` as one JSONL line — atomic w.r.t. concurrent
-    appenders and hard kills.
-
-    The whole encoded line goes down in a *single* ``os.write`` on an
-    ``O_APPEND`` descriptor: POSIX appends each write at the current end
-    of file, so two processes (or machines, on a well-behaved shared
-    filesystem) appending to the same checkpoint can never interleave
-    partial lines — exactly the multi-writer case the queue backend
-    creates.  A buffered ``fh.write`` gives neither guarantee: the stdio
-    buffer may flush mid-line at any boundary, so a kill can tear a
-    record in half and a concurrent appender can land between the halves,
-    turning a resumable checkpoint into a permanently corrupt one.
-
-    ``fsync`` before close makes the record durable: once the campaign has
-    reported an episode complete, a power cut must not un-complete it.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = (json.dumps(obj) + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        try:
-            import fcntl
-
-            # Shared lock, paired with repair_jsonl_tail's exclusive one:
-            # a tail repair can never run while any append is in flight,
-            # so a partially visible write (NFS attribute caching) cannot
-            # be mistaken for a torn tail and truncated away.
-            fcntl.flock(fd, fcntl.LOCK_SH)
-        except (ImportError, OSError):
-            pass  # no flock on this platform/mount: appends stay atomic
-        written = os.write(fd, line)
-        if written != len(line):
-            # A short write (ENOSPC racing quota enforcement, RLIMIT_FSIZE)
-            # already tore the line on disk; finishing it is the only way
-            # to keep the file parseable for everyone else.  If the
-            # remainder cannot be written either, cut our own fragment
-            # back off before failing loudly — leaving it would hand the
-            # next appender a tail to glue onto, and no other participant
-            # runs a repair mid-campaign.
-            try:
-                while written < len(line):
-                    more = os.write(fd, line[written:])
-                    if more <= 0:
-                        raise OSError(
-                            f"short checkpoint append to {path}: "
-                            f"{written}/{len(line)} bytes written"
-                        )
-                    written += more
-            except OSError:
-                os.close(fd)
-                fd = -1
-                repair_jsonl_tail(path)  # waits out concurrent appends (flock)
-                raise
-        os.fsync(fd)
-    finally:
-        if fd >= 0:
-            os.close(fd)
 
 
 def record_identity(record) -> tuple[str, str, int, str]:
     """A record's checkpoint identity — the counterpart of
     :meth:`EpisodeTask.identity` on the result side."""
     return (record.injector, record.scenario, record.seed, record.config_fingerprint)
-
-
-def load_checkpoint_rows(
-    path: str | Path | None,
-) -> tuple[list[RunRecord], list[EpisodeFailure]]:
-    """Parse a JSONL checkpoint into ``(records, failures)``.
-
-    A hard kill (or full disk) can truncate the final append mid-line;
-    that trailing fragment is dropped silently — the episode simply
-    re-runs on resume.  A malformed line anywhere *else* means real
-    corruption and raises.  Rows carrying an ``outcome`` key are
-    :class:`~repro.core.outcomes.EpisodeFailure` journal entries
-    (quarantined episodes live beside normal records in the same file).
-    A line that parses as JSON but builds neither (a row appended by a
-    different repro version into a shared queue checkpoint) is skipped,
-    not fatal — it could never match a grid identity anyway, matching
-    :meth:`~repro.core.queue.FilesystemBroker.read_results`.
-    """
-    if path is None:
-        return [], []
-    path = Path(path)
-    if not path.exists():
-        return [], []
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    records: list[RunRecord] = []
-    failures: list[EpisodeFailure] = []
-    for lineno, line in enumerate(lines):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1:
-                break  # truncated final write; resume re-runs this episode
-            raise ValueError(
-                f"corrupt checkpoint {path}: unparseable JSON on line {lineno + 1}"
-            )
-        try:
-            if isinstance(row, dict) and "outcome" in row:
-                failures.append(EpisodeFailure.from_dict(row))
-            else:
-                records.append(RunRecord(**row))
-        except TypeError:
-            continue  # foreign schema: journal noise, never a grid match
-    return records, failures
-
-
-def load_checkpoint_records(path: str | Path | None) -> list[RunRecord]:
-    """The ``ok``-records half of :func:`load_checkpoint_rows` (the
-    historical reader; failure rows are simply not returned)."""
-    return load_checkpoint_rows(path)[0]
 
 
 def available_cpus() -> int:
@@ -807,7 +631,6 @@ class Campaign:
         queue_dir: str | Path | None = None,
         lease_s: float | None = None,
         checkpoint_path: str | Path | None = None,
-        parquet_path: str | Path | None = None,
         fault_tolerance: FaultTolerancePolicy | None = None,
         episodes_per_slot: int | None = None,
         verbose: bool = False,
@@ -843,10 +666,6 @@ class Campaign:
         #: brokers so the full campaign definition travels as a portable
         #: JSON artifact next to the pickled context.
         self.spec = None
-        # The parquet sink is always coordinator-side, even under the
-        # queue backend: workers append JSONL durably, and this campaign
-        # mirrors completed grid records into the columnar copy.
-        self.parquet_path = Path(parquet_path) if parquet_path else None
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         # A queue executor's broker owns the shared results checkpoint:
         # adopt it (so resume reads what workers wrote) and skip our own
@@ -862,14 +681,15 @@ class Campaign:
             executor_checkpoint is not None
             and self.checkpoint_path.resolve() == Path(executor_checkpoint).resolve()
         )
-        if self.checkpoint_path is not None:
+        self._log = (
+            ResultLog(self.checkpoint_path) if self.checkpoint_path is not None else None
+        )
+        if self._log is not None:
             # A torn final line must come off *before* anything appends
-            # again (see repair_jsonl_tail) — this campaign, or queue
+            # again (see ResultLog.repair) — this campaign, or queue
             # workers sharing the broker checkpoint.
-            repair_jsonl_tail(self.checkpoint_path)
-            self._checkpoint_records, self._checkpoint_failures = load_checkpoint_rows(
-                self.checkpoint_path
-            )
+            self._log.repair()
+            self._checkpoint_records, self._checkpoint_failures = self._log.load()
         elif hasattr(self.executor, "resume_rows"):
             # A queue executor on a *remote* (TCP) broker keeps its
             # checkpoint server-side; asking it keeps resume semantics
@@ -892,7 +712,6 @@ class Campaign:
         queue_dir: str | Path | None = None,
         lease_s: float | None = None,
         checkpoint_path: str | Path | None = None,
-        parquet_path: str | Path | None = None,
         fault_tolerance=None,
         episodes_per_slot: int | None = None,
         verbose: bool = False,
@@ -924,7 +743,6 @@ class Campaign:
                 queue_dir=queue_dir,
                 lease_s=lease_s,
                 checkpoint_path=checkpoint_path,
-                parquet_path=parquet_path,
                 fault_tolerance=fault_tolerance,
                 episodes_per_slot=episodes_per_slot,
             ),
@@ -999,40 +817,8 @@ class Campaign:
     # -- checkpointing -------------------------------------------------
 
     def _append_checkpoint(self, row: RunRecord | EpisodeFailure) -> None:
-        if self.checkpoint_path is None or self._executor_owns_checkpoint:
-            return
-        append_jsonl_line(self.checkpoint_path, row.to_dict())
-
-    def _open_parquet_sink(self):
-        """Open the streaming parquet sink, seeded with resumed records.
-
-        Parquet files cannot be re-opened for append, so each run writes
-        the sink fresh: already-completed grid records go in first, then
-        every new record streams in as it finishes.  A crash costs only
-        the parquet copy — the next run rewrites it from the JSONL
-        checkpoint.  Returns ``None`` (JSONL-only, with a warning) when
-        pyarrow is not installed: a missing analytics dependency must
-        not kill a campaign.
-        """
-        if self.parquet_path is None:
-            return None
-        from .sink import HAVE_PYARROW, ParquetSink
-
-        if not HAVE_PYARROW:
-            import warnings
-
-            warnings.warn(
-                f"parquet sink {self.parquet_path} requested but pyarrow is "
-                f"not installed; continuing with the JSONL checkpoint only "
-                f"(install the 'parquet' extra to enable columnar output)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        sink = ParquetSink(self.parquet_path)
-        sink.extend(self.grid_records())
-        sink.extend(self.grid_failures())
-        return sink
+        if self._log is not None and not self._executor_owns_checkpoint:
+            self._log.append(row.to_dict())
 
     # -- execution -----------------------------------------------------
 
@@ -1079,48 +865,39 @@ class Campaign:
             # to the pickled context, so any attached machine can read
             # what campaign it is serving.
             self.executor.publish_spec(self.spec.to_dict())
-        sink = self._open_parquet_sink()
-        try:
-            for task, result in self.executor.run(context, pending, stop):
-                if isinstance(result, EpisodeFailure):
-                    if budget is not None and quarantined >= budget:
-                        # Over budget: left uncheckpointed, so it re-runs
-                        # on resume; the first such error is re-raised.
-                        # Set before the transport resumes: a queue
-                        # transport reads it as "not admitted".
-                        abort = abort or result
-                        stop.set()
-                        continue
-                    quarantined += 1
-                    result.outcome = EpisodeOutcome.QUARANTINED
-                    self._new_failures[task.index] = result
-                    self._append_checkpoint(result)
-                    if sink is not None:
-                        sink.append(result)
-                    if self.verbose:
-                        print(
-                            f"[campaign] {result.injector:>12} "
-                            f"{result.scenario:>8} QUAR {result.error_type} "
-                            f"after {result.attempts} attempt(s)"
-                        )
+        for task, result in self.executor.run(context, pending, stop):
+            if isinstance(result, EpisodeFailure):
+                if budget is not None and quarantined >= budget:
+                    # Over budget: left uncheckpointed, so it re-runs
+                    # on resume; the first such error is re-raised.
+                    # Set before the transport resumes: a queue
+                    # transport reads it as "not admitted".
+                    abort = abort or result
+                    stop.set()
                     continue
-                record = result
-                self._new_records[task.index] = record
-                self._append_checkpoint(record)
-                if sink is not None:
-                    sink.append(record)
+                quarantined += 1
+                result.outcome = EpisodeOutcome.QUARANTINED
+                self._new_failures[task.index] = result
+                self._append_checkpoint(result)
                 if self.verbose:
-                    status = "ok " if record.success else "FAIL"
                     print(
-                        f"[campaign] {record.injector:>12} {record.scenario:>8} "
-                        f"{status} {record.distance_km * 1000:6.0f} m  "
-                        f"{record.n_violations} violations"
+                        f"[campaign] {result.injector:>12} "
+                        f"{result.scenario:>8} QUAR {result.error_type} "
+                        f"after {result.attempts} attempt(s)"
                     )
-                if self.on_record is not None:
-                    self.on_record(task, record)
-        finally:
-            if sink is not None:
-                sink.close()
+                continue
+            record = result
+            self._new_records[task.index] = record
+            self._append_checkpoint(record)
+            if self.verbose:
+                status = "ok " if record.success else "FAIL"
+                print(
+                    f"[campaign] {record.injector:>12} {record.scenario:>8} "
+                    f"{status} {record.distance_km * 1000:6.0f} m  "
+                    f"{record.n_violations} violations"
+                )
+            if self.on_record is not None:
+                self.on_record(task, record)
         if abort is not None:
             abort.raise_error()
         return CampaignResult(self.grid_records(), failures=self.grid_failures())

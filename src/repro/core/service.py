@@ -65,6 +65,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .outcomes import EpisodeOutcome, FaultTolerancePolicy
 from .queue import check_lease_s
+from .resultlog import render_line
 from .spec import CampaignSpec, SpecError
 
 __all__ = ["CampaignService", "Submission"]
@@ -321,9 +322,9 @@ class CampaignService:
                 self._run_submission(sub)
                 sub.state = "done"
             except Exception as exc:
-                sub.state = "failed"
                 sub.error = f"{type(exc).__name__}: {exc}"
                 sub.traceback_text = traceback.format_exc()
+                sub.state = "failed"
             finally:
                 sub.settled.set()
 
@@ -425,6 +426,10 @@ class CampaignService:
         return rows
 
     def summary(self, sub: Submission) -> dict:
+        # State before counts: the run loop settles a submission only
+        # after its last row is folded, so a "done" read here is never
+        # paired with counts from before that row.
+        state = sub.state
         counts: dict[str, int] = {}
         total = None
         if sub.campaign is not None:
@@ -434,7 +439,7 @@ class CampaignService:
         out = {
             "id": sub.id,
             "name": sub.spec.name,
-            "state": sub.state,
+            "state": state,
             "total": total,
             "counts": counts,
         }
@@ -446,9 +451,8 @@ class CampaignService:
         """The settled grid as JSONL bytes, one row per episode in grid
         order — records and quarantine rows interleaved exactly where
         their episode sits, which is byte-for-byte the checkpoint a
-        serial run of the same spec would write
-        (:func:`~repro.core.runner.append_jsonl_line` renders rows with
-        the same ``json.dumps``)."""
+        serial run of the same spec would write (checkpoint appends
+        render rows with the same :func:`~repro.core.resultlog.render_line`)."""
         campaign = sub.campaign
         if campaign is None:
             return b""
@@ -457,8 +461,8 @@ class CampaignService:
         for task in campaign.tasks():
             row = records.get(task.identity()) or failures.get(task.identity())
             if row is not None:
-                lines.append(json.dumps(row.to_dict()) + "\n")
-        return "".join(lines).encode("utf-8")
+                lines.append(render_line(row.to_dict()))
+        return b"".join(lines)
 
 
 class _ControlPlaneServer(ThreadingHTTPServer):

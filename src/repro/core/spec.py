@@ -19,8 +19,8 @@ turns an experiment definition into **data**:
   deterministically at build time;
 * :class:`AgentSpec` — a name from the agent registry
   (:data:`~repro.agent.agents.AGENT_REGISTRY`) plus builder params;
-* :class:`ExecutionSpec` — workers/backend/queue/checkpoint/parquet
-  options, each overridable from the ``avfi run`` command line;
+* :class:`ExecutionSpec` — workers/backend/queue/checkpoint options,
+  each overridable from the ``avfi run`` command line;
 * :class:`CompoundInjectorSpec` — a *generator* entry in the injector
   table: instead of one literal fault list, it declares pools of faults
   and expands (cartesian product, or a seeded sample of it) into many
@@ -309,9 +309,6 @@ class ExecutionSpec:
     queue_dir: str | None = None
     lease_s: float | None = None
     checkpoint: str | None = None
-    #: Optional parquet sink written beside the JSONL checkpoint
-    #: (requires the ``parquet`` extra; degrades to JSONL-only).
-    parquet: str | None = None
     #: Live episodes per multiplexed slot (``backend="multiplexed"``, or
     #: process/queue workers each draining a slot).  ``None`` = backend
     #: default; 1 = classic one-episode-at-a-time execution.
@@ -348,7 +345,10 @@ class ExecutionSpec:
             "queue_dir": str(self.queue_dir) if self.queue_dir is not None else None,
             "lease_s": float(self.lease_s) if self.lease_s is not None else None,
             "checkpoint": str(self.checkpoint) if self.checkpoint is not None else None,
-            "parquet": str(self.parquet) if self.parquet is not None else None,
+            # Reserved: the parquet sink was removed.  Still written, as
+            # null, so every spec serialised before keeps its bytes and
+            # its hash.
+            "parquet": None,
             "episodes_per_slot": (
                 int(self.episodes_per_slot)
                 if self.episodes_per_slot is not None
@@ -378,7 +378,6 @@ class ExecutionSpec:
             "queue_dir": self.queue_dir,
             "lease_s": self.lease_s,
             "checkpoint_path": self.checkpoint,
-            "parquet_path": self.parquet,
             "fault_tolerance": self.fault_tolerance,
             "episodes_per_slot": self.episodes_per_slot,
         }
@@ -432,6 +431,12 @@ class ExecutionSpec:
                 raise SpecError(f"{path}.{key}", f"must be a string, got {value!r}")
             return value
 
+        if data.get("parquet") is not None:
+            raise SpecError(
+                f"{path}.parquet",
+                "must be null: the parquet sink was removed; the JSONL "
+                "checkpoint (execution.checkpoint) holds every result",
+            )
         fault_tolerance = data.get("fault_tolerance")
         if fault_tolerance is not None:
             try:
@@ -445,7 +450,6 @@ class ExecutionSpec:
             queue_dir=string("queue_dir"),
             lease_s=number("lease_s"),
             checkpoint=string("checkpoint"),
-            parquet=string("parquet"),
             episodes_per_slot=integer("episodes_per_slot", None),
             fault_tolerance=fault_tolerance,
         )

@@ -17,6 +17,11 @@ files, which a remote broker cannot offer):
   back to pending via ``requeue_failed`` (or retire via ``quarantine``);
 * the results checkpoint appends durably, reads back incrementally by
   offset, and discriminates records from failure rows;
+* every checkpoint reader follows the result log's parse rule
+  (:mod:`repro.core.resultlog`) on the shared fixture files of
+  :func:`parse_rule_files`: an unterminated tail is not a row, a
+  complete non-JSON line raises naming its line, a foreign row is
+  skipped, a failure row is a failure;
 * the campaign context and manifest survive publish/load;
 * worker heartbeats surface through ``workers()`` with a sane age;
 * a waiting ``claim``/``read_results`` (``wait_s``) returns as soon as
@@ -24,7 +29,7 @@ files, which a remote broker cannot offer):
   nothing, and refuses an unbounded or negative wait.
 
 Usage: subclass :class:`BrokerConformanceSuite` in a ``test_*`` module
-and provide two fixtures —
+and provide three fixtures —
 
 ``make_broker(lease_s) -> Broker``
     a factory building a broker on a **fresh, empty** backing store
@@ -35,6 +40,9 @@ and provide two fixtures —
     :class:`~repro.core.runner.CampaignContext` and its grid of
     :class:`~repro.core.runner.EpisodeTask` (module-scoped is fine, the
     suite never mutates it).
+``write_results(data: bytes)``
+    replaces the results checkpoint of that store with raw ``data``
+    (the parse-rule fixtures hold lines no broker op would write).
 """
 
 import threading
@@ -45,8 +53,16 @@ import pytest
 from repro.core.campaign import RunRecord
 from repro.core.outcomes import EpisodeFailure
 from repro.core.queue import BrokerError
+from repro.core.resultlog import render_line
+from repro.core.runner import record_identity
 
-__all__ = ["BrokerConformanceSuite", "record_for", "failure_for"]
+__all__ = [
+    "BrokerConformanceSuite",
+    "PARSE_RULE_CASES",
+    "failure_for",
+    "parse_rule_files",
+    "record_for",
+]
 
 
 def record_for(task, success: bool = True) -> RunRecord:
@@ -76,6 +92,37 @@ def failure_for(task, outcome: str = "failed") -> EpisodeFailure:
         error="RuntimeError('synthetic')",
         attempts=1,
     )
+
+
+def parse_rule_files(tasks) -> dict[str, tuple[bytes, tuple[list, list] | int]]:
+    """The parse rule's fixture files over rows of ``tasks[:4]``: case
+    name -> ``(file bytes, verdict)``.  The verdict is the task indexes
+    every reader returns as ``(records, failures)``, or, for a corrupt
+    file, the line number every reader's error names."""
+    rec = [render_line(record_for(task).to_dict()) for task in tasks[:3]]
+    failure = render_line(failure_for(tasks[3], outcome="quarantined").to_dict())
+    return {
+        # A whole row whose newline never landed is not a row yet.
+        "unterminated row": (rec[0] + rec[1] + rec[2][:-1], ([0, 1], [])),
+        "torn tail": (rec[0] + rec[1] + rec[2][:25], ([0, 1], [])),
+        "corrupt line after blank lines": (
+            b"\n\n" + rec[0] + b"not json\n" + rec[1], 4
+        ),
+        "foreign row": (
+            rec[0] + b'{"event": "queue-heartbeat"}\n' + rec[1], ([0, 1], [])
+        ),
+        "failure row": (rec[0] + failure + rec[1], ([0, 1], [3])),
+    }
+
+
+#: The case names of :func:`parse_rule_files`, for parametrising.
+PARSE_RULE_CASES = (
+    "unterminated row",
+    "torn tail",
+    "corrupt line after blank lines",
+    "foreign row",
+    "failure row",
+)
 
 
 class BrokerConformanceSuite:
@@ -256,6 +303,37 @@ class BrokerConformanceSuite:
         identities = broker.result_identities()
         assert tasks[0].identity() in identities
         assert tasks[1].identity() in identities
+
+    @pytest.mark.parametrize("case", PARSE_RULE_CASES)
+    def test_checkpoint_readers_follow_the_parse_rule(
+        self, make_broker, write_results, material, case
+    ):
+        _, tasks = material
+        data, verdict = parse_rule_files(tasks)[case]
+        broker = make_broker(self.LEASE_S)
+        write_results(data)
+        if isinstance(verdict, int):
+            corrupt = f"unparseable JSON on line {verdict}$"
+            # From the start, and from the corrupt line's own offset: the
+            # error counts lines over the whole file either way.
+            for offset in (0, data.index(b"not json")):
+                with pytest.raises((ValueError, BrokerError), match=corrupt):
+                    broker.read_results(offset)
+            with pytest.raises((ValueError, BrokerError), match=corrupt):
+                broker.status()
+            return
+        records, failures = verdict
+        offset, rows = broker.read_results(0)
+        assert [r.to_dict() for r in rows] == [
+            record_for(tasks[i]).to_dict() for i in records
+        ]
+        assert offset == data.rfind(b"\n") + 1, "an unterminated tail stays unread"
+        assert broker.status()["results"] == len(records) + len(failures)
+        got_records, got_failures = broker.checkpoint_rows()
+        assert [r.to_dict() for r in got_records] == [r.to_dict() for r in rows]
+        assert [record_identity(f) for f in got_failures] == [
+            tasks[i].identity() for i in failures
+        ]
 
     # -- context, manifest, liveness -----------------------------------
 

@@ -39,6 +39,17 @@ def material():
     return runner.context(), runner.tasks()
 
 
+@pytest.fixture
+def write_results(tmp_path):
+    """Both brokers keep the checkpoint at ``<root>/results.jsonl``."""
+
+    def write(data: bytes) -> None:
+        (tmp_path / "q").mkdir(exist_ok=True)
+        (tmp_path / "q" / "results.jsonl").write_bytes(data)
+
+    return write
+
+
 class TestFilesystemBrokerConformance(BrokerConformanceSuite):
     @pytest.fixture
     def make_broker(self, tmp_path):

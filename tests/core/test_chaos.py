@@ -34,7 +34,8 @@ from repro.core.chaos import (
     InjectedCrash,
 )
 from repro.core.faults import OutputDelay
-from repro.core.runner import load_checkpoint_rows, record_identity
+from repro.core.resultlog import ResultLog
+from repro.core.runner import record_identity
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
 from repro.sim.town import GridTownConfig
@@ -214,7 +215,7 @@ class TestPoisonEpisodeAcceptance:
             assert type(error) is expected[over.injector]
         assert [r.injector for r in resumed.grid_records()] == ["none", "delay"]
         assert [f.injector for f in resumed.grid_failures()] == sorted(admitted)
-        records, failures = load_checkpoint_rows(resumed.checkpoint_path)
+        records, failures = ResultLog(resumed.checkpoint_path).load()
         assert over.identity() not in {
             record_identity(row) for row in records + failures
         }, "the over-budget episode must be neither quarantined nor checkpointed"

@@ -3,7 +3,7 @@
 The checkpoint is a multi-writer, crash-prone artifact once the queue
 backend shards a campaign across machines: several workers append to one
 file, and any of them can be SIGKILLed at any instruction.  These tests
-pin the two guarantees :func:`repro.core.runner.append_jsonl_line`
+pin the two guarantees :func:`repro.core.resultlog.append_jsonl_line`
 provides — concurrent appends never interleave partial lines, and a hard
 kill never leaves a torn record that blocks resume.
 """
@@ -17,11 +17,7 @@ import time
 from repro.agent import autopilot_agent_factory
 from repro.core import Campaign, standard_scenarios
 from repro.core.faults import OutputDelay
-from repro.core.runner import (
-    append_jsonl_line,
-    load_checkpoint_records,
-    repair_jsonl_tail,
-)
+from repro.core.resultlog import ResultLog, append_jsonl_line, repair_jsonl_tail
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
 from repro.sim.town import GridTownConfig
@@ -103,7 +99,7 @@ class TestForeignSchemaRows:
         append_jsonl_line(path, {"schema_version": 2, "episode": "future-format"})
         append_jsonl_line(path, good.to_dict() | {"seed": 1})
 
-        loaded = load_checkpoint_records(path)
+        loaded, _ = ResultLog(path).load()
         assert [(r.scenario, r.seed) for r in loaded] == [("s", 0), ("s", 1)]
 
 
@@ -198,7 +194,7 @@ class TestKillMidWrite:
         victim.join(timeout=30)
 
         # Durability: whatever survived the kill is whole lines only.
-        survivors = load_checkpoint_records(checkpoint)  # raises on interior tears
+        survivors, _ = ResultLog(checkpoint).load()  # raises on interior tears
         for line in checkpoint.read_text().splitlines():
             json.loads(line)
         assert len(survivors) >= 1, "fsync'd record must survive the kill"
@@ -214,6 +210,6 @@ class TestKillMidWrite:
         ]
         identities = [
             (r.injector, r.scenario, r.seed)
-            for r in load_checkpoint_records(checkpoint)
+            for r in ResultLog(checkpoint).load()[0]
         ]
         assert len(set(identities)) == len(identities), "no episode may run twice"

@@ -1,6 +1,6 @@
 """Compound-fault episodes end-to-end: harness unwind and ordering, the
 Snippet-catalog faults, interaction-effect analysis, compound spec
-expansion, the streaming metrics path and the parquet/JSONL sinks."""
+expansion, the streaming metrics path and the JSONL result log."""
 
 import copy
 import json
@@ -39,14 +39,7 @@ from repro.core.faults import (
     WeightNoise,
 )
 from repro.core.metrics import MetricsAccumulator
-from repro.core.sink import (
-    HAVE_PYARROW,
-    ParquetUnavailable,
-    iter_jsonl_records,
-    iter_records,
-    record_to_row,
-    row_to_record,
-)
+from repro.core.resultlog import ResultLog
 from repro.core.spec import ExecutionSpec, SpecError
 from repro.sim.builders import SimulationBuilder
 from repro.sim.channel import Channel
@@ -462,10 +455,10 @@ class TestJsonlStreaming:
         records = list(_synthetic_records(20))
         path = tmp_path / "results.jsonl"
         self._write(path, records)
-        assert list(iter_jsonl_records(path)) == records
+        assert list(ResultLog(path)) == records
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert list(iter_jsonl_records(tmp_path / "nope.jsonl")) == []
+        assert list(ResultLog(tmp_path / "nope.jsonl")) == []
 
     def test_torn_tail_dropped(self, tmp_path):
         records = list(_synthetic_records(5))
@@ -473,7 +466,7 @@ class TestJsonlStreaming:
         self._write(path, records)
         with open(path, "a") as fh:
             fh.write('{"scenario": "scn-0", "inj')  # hard-kill fragment
-        assert list(iter_jsonl_records(path)) == records
+        assert list(ResultLog(path)) == records
 
     def test_interior_corruption_raises(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -481,7 +474,7 @@ class TestJsonlStreaming:
             fh.write("not json\n")
             fh.write(json.dumps(next(_synthetic_records(1)).to_dict()) + "\n")
         with pytest.raises(ValueError, match="line 1"):
-            list(iter_jsonl_records(path))
+            list(ResultLog(path))
 
     def test_foreign_schema_rows_skipped(self, tmp_path):
         records = list(_synthetic_records(3))
@@ -490,47 +483,17 @@ class TestJsonlStreaming:
             fh.write(json.dumps({"event": "queue-heartbeat"}) + "\n")
             for record in records:
                 fh.write(json.dumps(record.to_dict()) + "\n")
-        assert list(iter_jsonl_records(path)) == records
+        assert list(ResultLog(path)) == records
 
     def test_ten_thousand_episode_streaming_report(self, tmp_path):
         """A 10k-episode checkpoint aggregates in one streaming pass and
         matches the batch path exactly."""
         path = tmp_path / "big.jsonl"
         self._write(path, _synthetic_records(10_000))
-        streamed = metrics_by_injector(iter_records(path))
+        streamed = metrics_by_injector(ResultLog(path))
         batch = metrics_by_injector(list(_synthetic_records(10_000)))
         assert streamed == batch
         assert sum(m.n_runs for m in streamed.values()) == 10_000
-
-    def test_iter_records_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown checkpoint format"):
-            iter_records(tmp_path / "x.jsonl", fmt="csv")
-
-
-class TestParquetSink:
-    def test_row_roundtrip_needs_no_pyarrow(self):
-        record = next(_synthetic_records(1))
-        assert row_to_record(record_to_row(record)) == record
-
-    @pytest.mark.skipif(HAVE_PYARROW, reason="pyarrow installed")
-    def test_sink_unavailable_raises_readable_error(self, tmp_path):
-        from repro.core.sink import ParquetSink
-
-        with pytest.raises(ParquetUnavailable, match="pyarrow"):
-            ParquetSink(tmp_path / "x.parquet")
-        with pytest.raises(ParquetUnavailable):
-            list(iter_records(tmp_path / "x.parquet"))
-
-    @pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-    def test_sink_roundtrip(self, tmp_path):
-        from repro.core.sink import ParquetSink, iter_parquet_records
-
-        records = list(_synthetic_records(300))
-        path = tmp_path / "results.parquet"
-        with ParquetSink(path, batch_size=64) as sink:
-            sink.extend(records)
-        assert list(iter_parquet_records(path)) == records
-        assert metrics_by_injector(iter_records(path)) == metrics_by_injector(records)
 
 
 # ----------------------------------------------------------------------
@@ -621,16 +584,18 @@ class TestCompoundInjectorSpec:
         with pytest.raises(SpecError, match="unknown keys"):
             CampaignSpec.from_dict(base)
 
-    def test_execution_spec_parquet_roundtrip(self):
-        execution = ExecutionSpec(parquet="out/results.parquet")
-        rebuilt = ExecutionSpec.from_dict(execution.to_dict())
-        assert rebuilt.parquet == "out/results.parquet"
-        with pytest.raises(SpecError, match="parquet"):
-            ExecutionSpec.from_dict({"parquet": 7})
+    def test_execution_spec_parquet_must_be_null(self):
+        """``execution.parquet`` is a reserved key: null parses and is
+        written back (committed specs carry it), anything else is
+        refused with a message that says the sink was removed."""
+        assert ExecutionSpec.from_dict({"parquet": None}).to_dict()["parquet"] is None
+        for value in ("out/results.parquet", 7):
+            with pytest.raises(SpecError, match=r"spec\.execution\.parquet: .*removed"):
+                ExecutionSpec.from_dict({"parquet": value})
 
 
 # ----------------------------------------------------------------------
-# Compound campaigns: backends agree, parquet sink degrades gracefully
+# Compound campaigns: backends agree
 # ----------------------------------------------------------------------
 
 
@@ -676,24 +641,3 @@ class TestCompoundCampaign:
         serial_rows = [r.to_dict() for r in serial.records]
         assert [r.to_dict() for r in process.records] == serial_rows
         assert [r.to_dict() for r in queue.records] == serial_rows
-
-    def test_parquet_sink_or_graceful_fallback(self, builder, scenarios, tmp_path):
-        parquet = tmp_path / "results.parquet"
-        campaign = Campaign(
-            scenarios,
-            autopilot_agent_factory(),
-            {"none": [], "pair": copy.deepcopy(COMPOUND_INJECTORS["pair"])},
-            builder=builder,
-            checkpoint_path=tmp_path / "results.jsonl",
-            parquet_path=parquet,
-        )
-        if HAVE_PYARROW:
-            result = campaign.run()
-            assert parquet.exists()
-            assert list(iter_records(parquet)) == result.records
-        else:
-            with pytest.warns(RuntimeWarning, match="pyarrow"):
-                result = campaign.run()
-            assert not parquet.exists()
-        # The JSONL checkpoint is written either way.
-        assert list(iter_records(tmp_path / "results.jsonl")) == result.records

@@ -27,15 +27,14 @@ from repro.core import (
     FaultTolerancePolicy,
     FilesystemBroker,
     MetricsAccumulator,
+    ResultLog,
     attempt_task,
-    load_checkpoint_rows,
     metrics_by_injector,
     quarantine_table,
     standard_scenarios,
 )
 from repro.core.chaos import FlakyFault, HangFault, TransientEpisodeError
 from repro.core.outcomes import reap_process
-from repro.core.sink import iter_jsonl_records
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
 from repro.sim.town import GridTownConfig
@@ -164,10 +163,10 @@ class TestEpisodeFailureRow:
             fh.write(json.dumps({"event": "queue-heartbeat"}) + "\n")
             fh.write(json.dumps(record_row) + "\n")
             fh.write(json.dumps(failure.to_dict()) + "\n")
-        records, failures = load_checkpoint_rows(path)
+        records, failures = ResultLog(path).load()
         assert [r.seed for r in records] == [1]
         assert failures == [failure]
-        streamed = list(iter_jsonl_records(path))
+        streamed = list(ResultLog(path))
         assert len(streamed) == 2 and streamed[1] == failure
 
     def test_metrics_count_failures_without_folding_them_in(self):

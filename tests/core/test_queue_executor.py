@@ -337,6 +337,24 @@ class TestLeases:
         assert returned == [1]
         assert len(broker.failures()) == 1
 
+    def test_worker_cli_says_max_tasks_ended_the_drain(
+        self, builder, scenarios, tmp_path, capsys
+    ):
+        """``avfi worker --max-tasks 2`` over one success and one crash
+        stops at the limit and says so, not "queue idle", though only
+        one episode completed."""
+        from repro.cli import main
+
+        qdir = tmp_path / "q"
+        runner = _campaign(builder, scenarios[:1],
+                           injectors={"none": [], "crash": [CrashFault()]})
+        FilesystemBroker(qdir).publish(runner.context(), runner.tasks())
+        main(["worker", "--queue-dir", str(qdir), "--worker-id", "cli",
+              "--lease", "10", "--poll", "0.02", "--idle-timeout", "30",
+              "--max-tasks", "2"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == "[worker cli] reached max_tasks (2 claims retired); completed 1 episode(s)"
+
 
     def test_slot_drain_leaves_no_orphan_lease(self, builder, scenarios, tmp_path):
         """Each claim of a multiplexed slot stops heartbeating before its

@@ -15,6 +15,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -199,6 +200,24 @@ class TestLongPoll:
             service._submissions[sub.id] = sub
             service._order.append(sub.id)
         return sub
+
+    def test_summary_never_pairs_done_with_an_unsettled_count(
+        self, idle_service, smoke_payload, monkeypatch
+    ):
+        """The run loop may settle a submission while a summary counts
+        its episodes: the summary reports the state it counted under,
+        never "done" beside a pending episode."""
+        sub = self._park(idle_service, smoke_payload)
+        sub.state = "running"
+        sub.campaign = SimpleNamespace(total_runs=lambda: 1)
+
+        def rows_while_the_last_row_lands(counted):
+            counted.state = "done"
+            return [{"outcome": "pending"}]
+
+        monkeypatch.setattr(idle_service, "episode_rows", rows_while_the_last_row_lands)
+        summary = idle_service.summary(sub)
+        assert (summary["state"], summary["counts"]) == ("running", {"pending": 1})
 
     def test_returns_promptly_when_the_campaign_settles(
         self, idle_service, smoke_payload

@@ -499,9 +499,9 @@ class TestStudyFromSpecExecution:
         assert (queue_dir / "spec.json").exists()
         assert (queue_dir / "results.jsonl").exists()
 
-    def test_study_run_honours_slot_and_parquet(self, builder, tmp_path):
-        """execution.episodes_per_slot and execution.parquet reach the
-        campaign's context, transport and sink."""
+    def test_study_run_honours_slot(self, builder):
+        """execution.episodes_per_slot reaches the campaign's context
+        and transport."""
         spec = CampaignSpec(
             scenarios=ScenarioSuiteSpec(
                 n=1, seed=9, town=TOWN, min_distance=60.0, max_distance=160.0
@@ -512,13 +512,11 @@ class TestStudyFromSpecExecution:
             execution=ExecutionSpec(
                 backend="multiplexed",
                 episodes_per_slot=2,
-                parquet=str(tmp_path / "x.parquet"),
             ),
         )
         campaign = Campaign.from_spec(spec)
         assert campaign.context().episodes_per_slot == 2
         assert campaign.executor.episodes_per_slot == 2
-        assert campaign.parquet_path == tmp_path / "x.parquet"
 
 
 class TestSpecExecutionEquivalence:
