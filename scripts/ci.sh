@@ -108,6 +108,46 @@ for executor, slot, workers in [
     print(f"{executor} (slot {slot}) == serial over {len(serial)} episodes")
 PY
 
+echo "== smoke: camera noise reaches the records (nn agent, byte-identity) =="
+# The autopilot reads the world, not the camera, so the step above
+# cannot see the noise bits.  The nn agent drives from the image: with
+# gaussian and salt-and-pepper noise (drawn one frame ahead on a helper
+# thread) its records must match serial on the multiplexed slot of 4
+# and on a 2-worker process pool, whose workers fork after the serial
+# run has drawn noise in this process.
+python - <<'PY'
+from dataclasses import replace
+
+from repro.agent import nn_agent_factory
+from repro.agent.ilcnn import ILCNN, ILCNNConfig
+from repro.core import Campaign, standard_scenarios
+from repro.core.faults import GaussianNoise, SaltAndPepper, Trigger
+
+scenarios = [
+    replace(s, mission=replace(s.mission, time_limit_s=4.0))
+    for s in standard_scenarios(2, seed=41, n_npc_vehicles=1, min_distance=40, max_distance=80)
+]
+injectors = {
+    "gaussian": [GaussianNoise(0.1)],
+    "s&p": [SaltAndPepper(trigger=Trigger(probability=0.5))],
+}
+model = ILCNN(ILCNNConfig())
+model.set_training(False)  # inference, as `avfi run` builds the nn agent
+factory = nn_agent_factory(model)
+
+def run(executor, slot, workers=None):
+    return [r.to_dict() for r in Campaign(
+        scenarios, factory, injectors,
+        executor=executor, episodes_per_slot=slot, workers=workers,
+    ).run().records]
+
+serial = run("serial", 1)
+for executor, slot, workers in [("multiplexed", 4, None), ("process", None, 2)]:
+    assert run(executor, slot, workers) == serial, \
+        f"{executor} records diverged from serial under camera noise"
+    print(f"{executor} == serial over {len(serial)} nn episodes with camera noise")
+PY
+
 echo "== smoke: self-healing chaos campaign (quarantine + byte-identity) =="
 # The harness under its own faults: a queue campaign with one always-
 # crashing and one always-hanging episode, every broker interaction

@@ -21,12 +21,22 @@ trigger).  This module defines the shared machinery:
 
 Every fault model owns a seeded RNG handed to it by the injection harness,
 so campaigns replay bit-for-bit.
+
+A sensor fault whose draws depend only on its own RNG and the camera
+shape (per-frame noise) makes each in-window frame's draws one frame
+ahead, on one helper thread per process (:class:`SensorFault`).  NumPy's
+``Generator`` fills release the GIL, so the draw runs on an idle core
+while the frame goes on, and it consumes the RNG exactly as an inline
+draw would.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -166,8 +176,11 @@ class Trigger:
 
     def fires(self, frame: int, rng: np.random.Generator) -> bool:
         """Whether the fault fires at ``frame`` (draws from ``rng``)."""
-        if not self.in_window(frame):
-            return False
+        return self.in_window(frame) and self.roll(rng)
+
+    def roll(self, rng: np.random.Generator) -> bool:
+        """Whether an in-window frame fires: one uniform from ``rng``
+        when ``probability`` < 1, no draw otherwise."""
         if self.probability >= 1.0:
             return True
         return bool(rng.random() < self.probability)
@@ -355,17 +368,187 @@ class FaultModel:
             ) from None
 
 
+class _DrawHelper:
+    """One daemon thread that runs draw jobs in submission order.
+
+    There is one per process (:data:`_helper`), started on first use; a
+    forked child gets a fresh one (see ``os.register_at_fork`` below).
+    """
+
+    def __init__(self) -> None:
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+        self._start_lock = threading.Lock()
+
+    def submit(self, job) -> None:
+        """Queue ``job`` (a no-argument callable) for the helper thread."""
+        if self._thread is None:
+            with self._start_lock:
+                if self._thread is None:
+                    self._thread = threading.Thread(
+                        target=self._serve, name="fault-draws", daemon=True
+                    )
+                    self._thread.start()
+        self._jobs.put(job)
+
+    def drain(self) -> None:
+        """Wait until every job submitted so far has finished."""
+        if self._thread is not None:
+            done = threading.Event()
+            self._jobs.put(done.set)
+            done.wait()
+
+    def _serve(self) -> None:
+        while True:
+            self._jobs.get()()
+
+
+_helper = _DrawHelper()
+
+
+def _new_helper_in_child() -> None:
+    global _helper
+    _helper = _DrawHelper()
+
+
+# A fork copies no thread but the forking one: the child starts its own
+# helper.  Draining first means no draw is half-done in the child's copy
+# of memory (a Generator mid-fill holds its lock).
+os.register_at_fork(before=lambda: _helper.drain(), after_in_child=_new_helper_in_child)
+
+
+class _DrawAhead:
+    """One in-window frame's draws, made on the helper thread.
+
+    Keeps the RNG's state from before the draws, so draws that are never
+    used can be rolled back as if they had not been made.
+    """
+
+    __slots__ = ("fault", "rng", "shape", "rng_state", "drawn", "error", "done")
+
+    def __init__(self, fault: "SensorFault", rng: np.random.Generator, shape: tuple):
+        self.fault = fault
+        self.rng = rng
+        self.shape = shape
+        self.rng_state = rng.bit_generator.state
+        self.drawn: tuple[bool, object] | None = None
+        self.error: BaseException | None = None
+        self.done = threading.Lock()  # held until run() finishes
+        self.done.acquire()
+        _helper.submit(self.run)
+
+    def run(self) -> None:
+        try:
+            self.drawn = self.fault._draws(self.rng, self.shape)
+        except BaseException as exc:
+            self.error = exc
+        finally:
+            self.done.release()
+
+    def wait(self) -> None:
+        with self.done:
+            pass
+
+    def result(self) -> tuple[bool, object]:
+        """``(fires, payload)``, once the helper has made them."""
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        return self.drawn
+
+    def roll_back(self) -> None:
+        """Wait out the draws, then restore the RNG to before them."""
+        self.wait()
+        self.rng.bit_generator.state = self.rng_state
+
+
 class SensorFault(FaultModel):
-    """Input FI: corrupts the sensor bundle before the agent sees it."""
+    """Input FI: corrupts the sensor bundle before the agent sees it.
+
+    A firing has two parts: what the fault's own RNG draws for it
+    (:meth:`draw`) and how that draw corrupts the bundle
+    (:meth:`corrupt`).  A fault whose draws never depend on the bundle's
+    content sets :attr:`draws_ahead`: from its first in-window frame on,
+    :meth:`apply` starts the next in-window frame's draws (the trigger's
+    uniform when ``probability`` < 1, then the payload if it fires) on
+    the helper thread, for the camera shape it just saw.  The frame
+    goes on meanwhile, and the main thread touches that RNG again only
+    after the draws are done.  The RNG is consumed exactly as by inline
+    draws; a draw made for a shape the next bundle does not have is
+    rolled back and made again inline.
+
+    A draw made ahead is not fault state: :meth:`bind`, pickling and
+    ``copy.deepcopy`` wait it out and roll the RNG back to where
+    :meth:`apply` left it, and so does :meth:`drop_draw`, which the
+    harness calls on detach so that no draw outlives its episode.
+    """
 
     hook = "input"
+    #: Whether the per-firing draws depend only on the RNG and the image
+    #: shape, so :meth:`apply` may make them one frame ahead.
+    draws_ahead: bool = False
+    _ahead: _DrawAhead | None = None
 
     def apply(self, bundle: SensorFrame, frame: int) -> SensorFrame:
         """Return the (possibly corrupted) bundle for this frame."""
-        if not self.trigger.fires(frame, self.rng):
+        if not self.trigger.in_window(frame):
+            return bundle
+        if self.draws_ahead:
+            fires, payload = self._drawn_for(bundle.image.shape)
+        else:
+            fires, payload = self.trigger.roll(self.rng), None
+        if not fires:
             return bundle
         self.log.record(frame)
-        return self.transform(bundle.copy())
+        return self.corrupt(bundle.copy(), payload)
+
+    def _draws(self, rng: np.random.Generator, shape: tuple) -> tuple[bool, object]:
+        """One in-window frame's draws: ``(fires, payload)``."""
+        if not self.trigger.roll(rng):
+            return False, None
+        return True, self.draw(rng, shape)
+
+    def _drawn_for(self, shape: tuple) -> tuple[bool, object]:
+        """This frame's draws (made ahead if they fit ``shape``), then
+        the next in-window frame's draws started on the helper."""
+        ahead, self._ahead = self._ahead, None
+        drawn = None
+        if ahead is not None:
+            if ahead.shape == shape:
+                drawn = ahead.result()
+            else:
+                ahead.roll_back()
+        if drawn is None:
+            drawn = self._draws(self.rng, shape)
+        self._ahead = _DrawAhead(self, self.rng, shape)
+        return drawn
+
+    def drop_draw(self) -> None:
+        """Wait out a draw made ahead, if any, and roll the RNG back."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            ahead.roll_back()
+
+    def bind(self, rng: np.random.Generator) -> None:
+        self.drop_draw()
+        super().bind(rng)
+
+    def __getstate__(self) -> dict:
+        self.drop_draw()
+        state = self.__dict__.copy()
+        state.pop("_ahead", None)
+        return state
+
+    def draw(self, rng: np.random.Generator, shape: tuple):
+        """One firing's payload, drawn from ``rng`` for an image of
+        ``shape`` (hook of :attr:`draws_ahead` faults; others draw in
+        :meth:`transform`)."""
+        return None
+
+    def corrupt(self, bundle: SensorFrame, payload) -> SensorFrame:
+        """Corrupt ``bundle`` in place with ``payload`` and return it
+        (:attr:`draws_ahead` faults override this)."""
+        return self.transform(bundle)
 
     def transform(self, bundle: SensorFrame) -> SensorFrame:
         """Corrupt ``bundle`` in place and return it (subclass hook)."""

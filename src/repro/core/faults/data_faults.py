@@ -14,7 +14,8 @@ Figure label              Class
 ========================  =====================================
 
 Occlusion positions and droplet layouts are drawn once per episode and then
-persist (dirt and water stick to a lens); noise models redraw per frame.
+persist (dirt and water stick to a lens); noise models redraw per frame,
+one frame ahead on a helper thread (see :class:`~.base.SensorFault`).
 The module also provides GPS, speedometer, LIDAR and weather (world
 measurement) faults mentioned in §II's data-fault description, plus the
 telemetry-corruption catalog compound campaigns pair with the camera
@@ -70,9 +71,20 @@ class GaussianNoise(SensorFault):
             raise ValueError("sigma cannot be negative")
         self.sigma = sigma
 
-    def transform(self, bundle: SensorFrame) -> SensorFrame:
-        noise = self.rng.normal(0.0, self.sigma * 255.0, bundle.image.shape)
-        bundle.image = np.clip(bundle.image.astype(np.float32) + noise, 0, 255).astype(np.uint8)
+    draws_ahead = True
+
+    def draw(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+        # normal(0, scale) is 0.0 + scale * standard_normal() per element:
+        # the same bits, drawn ~1.4x faster by the standard fill.
+        noise = rng.standard_normal(shape)
+        noise *= self.sigma * 255.0
+        return noise
+
+    def corrupt(self, bundle: SensorFrame, noise: np.ndarray) -> SensorFrame:
+        # In place in the drawn field, which nothing else holds: pixel +
+        # noise in float64, as float32(pixel) + noise was (exact either way).
+        noise += bundle.image
+        bundle.image = np.clip(noise, 0, 255, out=noise).astype(np.uint8)
         return bundle
 
     def describe(self) -> dict:
@@ -91,11 +103,16 @@ class SaltAndPepper(SensorFault):
             raise ValueError("density must be within [0, 1]")
         self.density = density
 
-    def transform(self, bundle: SensorFrame) -> SensorFrame:
-        h, w = bundle.image.shape[:2]
-        mask = self.rng.random((h, w))
-        bundle.image[mask < self.density / 2.0] = 0
-        bundle.image[mask > 1.0 - self.density / 2.0] = 255
+    draws_ahead = True
+
+    def draw(self, rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        mask = rng.random(shape[:2])
+        return mask < self.density / 2.0, mask > 1.0 - self.density / 2.0
+
+    def corrupt(self, bundle: SensorFrame, masks: tuple[np.ndarray, np.ndarray]) -> SensorFrame:
+        pepper, salt = masks
+        bundle.image[pepper] = 0
+        bundle.image[salt] = 255
         return bundle
 
     def describe(self) -> dict:

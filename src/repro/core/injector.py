@@ -161,6 +161,7 @@ class InjectionHarness:
         assert self._client is not None and self._server is not None
         for input_filter in self._input_filters:
             self._client.input_filters.remove(input_filter)
+            input_filter.fault.drop_draw()  # no draw outlives its episode
         for output_filter in self._output_filters:
             self._client.output_filters.remove(output_filter)
         for channel, transform in self._channel_transforms:

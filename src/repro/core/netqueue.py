@@ -77,6 +77,7 @@ from .queue import (  # noqa: F401
 __all__ = [
     "BrokerError",
     "BrokerServer",
+    "BrokerValueError",
     "FrameError",
     "TcpBroker",
     "is_broker_url",
@@ -89,6 +90,13 @@ __all__ = [
 MAX_FRAME_BYTES = 512 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+
+
+class BrokerValueError(BrokerError, ValueError):
+    """The server refused an op's input with ``ValueError`` (a corrupt
+    checkpoint line, an invalid name).  It is caught wherever the
+    shared-directory broker's own ``ValueError`` is, so ``avfi run``
+    reports it in one line on either transport."""
 
 
 class FrameError(ConnectionError):
@@ -494,10 +502,13 @@ class TcpBroker(Broker):
                 if chaos is not None and chaos.get("reconnect"):
                     self._drop_connection()  # next call reconnects (storm)
                 if not response.get("ok"):
-                    raise BrokerError(
+                    error_type = response.get("error_type", "Error")
+                    error = (
+                        BrokerValueError if error_type == "ValueError" else BrokerError
+                    )
+                    raise error(
                         f"broker op {op!r} failed on {self.address}: "
-                        f"{response.get('error_type', 'Error')}: "
-                        f"{response.get('error', '')}"
+                        f"{error_type}: {response.get('error', '')}"
                     )
                 return response.get("result")
         raise ConnectionError(

@@ -9,6 +9,7 @@ one verdict per file.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.cli import main
 from repro.core import Campaign, standard_scenarios
 from repro.core.campaign import RunRecord
 from repro.core.faults import OutputDelay
+from repro.core.netqueue import BrokerServer
 from repro.core.outcomes import EpisodeFailure
 from repro.core.resultlog import (
     ResultLog,
@@ -32,6 +34,7 @@ from repro.sim.town import GridTownConfig
 
 from broker_conformance import PARSE_RULE_CASES, parse_rule_files, record_for
 
+SPEC_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
 INJECTORS = {"none": [], "delay": [OutputDelay(8)]}
 
 
@@ -120,6 +123,24 @@ def test_avfi_queue_status_gives_the_files_verdict(tasks, tmp_path, capsys, case
     main(["queue-status", str(tmp_path)])
     records, failures = verdict
     assert f"     results: {len(records) + len(failures)}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("transport", ["directory", "tcp"])
+def test_avfi_run_reports_a_corrupt_checkpoint_in_one_line(tmp_path, transport):
+    """The shared directory raises the parse rule's ``ValueError``; a
+    ``tcp://`` server reports it as a ``BrokerError`` that is also a
+    ``ValueError``, so both end as one ``avfi run:`` line."""
+    root = tmp_path / "queue"
+    root.mkdir()
+    (root / "results.jsonl").write_bytes(b"not json\n")
+    server = BrokerServer(root, host="127.0.0.1", port=0).start() if transport == "tcp" else None
+    try:
+        queue = server.address if server is not None else str(root)
+        with pytest.raises(SystemExit, match="^avfi run: .*unparseable JSON on line 1$"):
+            main(["run", str(SPEC_DIR / "smoke.json"), "--queue-dir", queue])
+    finally:
+        if server is not None:
+            server.stop()
 
 
 class TestResultLog:
