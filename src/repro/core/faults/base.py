@@ -24,16 +24,17 @@ so campaigns replay bit-for-bit.
 
 A sensor fault whose draws depend only on its own RNG and the camera
 shape (per-frame noise) makes each in-window frame's draws one frame
-ahead, on one helper thread per process (:class:`SensorFault`).  NumPy's
-``Generator`` fills release the GIL, so the draw runs on an idle core
-while the frame goes on, and it consumes the RNG exactly as an inline
-draw would.
+ahead, on one helper thread per process, when the draw is large
+(:class:`SensorFault`).  NumPy's ``Generator`` fills release the GIL, so
+the draw runs on an idle core while the frame goes on, and it consumes
+the RNG exactly as an inline draw would.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import queue
 import threading
@@ -368,6 +369,15 @@ class FaultModel:
             ) from None
 
 
+#: A firing that draws fewer values than this draws inline.  Handing a
+#: draw to the helper thread costs the main thread ~50-90 µs (the helper
+#: takes the GIL twice), which only a large draw repays.  Measured on a
+#: 2-vCPU host, frames/s ahead vs inline in one process: gaussian at
+#: 32x24 (2,304 values) 0.93x, 48x32 (4,608) 0.97x, 64x48 (9,216) 1.05x,
+#: 96x64 (18,432) 1.13x; salt-and-pepper at 96x64 (6,144) 0.99x.
+DRAW_AHEAD_MIN_VALUES = 8192
+
+
 class _DrawHelper:
     """One daemon thread that runs draw jobs in submission order.
 
@@ -468,14 +478,15 @@ class SensorFault(FaultModel):
     A firing has two parts: what the fault's own RNG draws for it
     (:meth:`draw`) and how that draw corrupts the bundle
     (:meth:`corrupt`).  A fault whose draws never depend on the bundle's
-    content sets :attr:`draws_ahead`: from its first in-window frame on,
-    :meth:`apply` starts the next in-window frame's draws (the trigger's
-    uniform when ``probability`` < 1, then the payload if it fires) on
-    the helper thread, for the camera shape it just saw.  The frame
-    goes on meanwhile, and the main thread touches that RNG again only
-    after the draws are done.  The RNG is consumed exactly as by inline
-    draws; a draw made for a shape the next bundle does not have is
-    rolled back and made again inline.
+    content says how many values a draw takes (:meth:`draw_values`).
+    When that is at least :data:`DRAW_AHEAD_MIN_VALUES`, :meth:`apply`
+    starts the next in-window frame's draws (the trigger's uniform when
+    ``probability`` < 1, then the payload if it fires) on the helper
+    thread, for the camera shape it just saw.  The frame goes on
+    meanwhile, and the main thread touches that RNG again only after the
+    draws are done.  The RNG is consumed exactly as by inline draws; a
+    draw made for a shape the next bundle does not have is rolled back
+    and made again inline.
 
     A draw made ahead is not fault state: :meth:`bind`, pickling and
     ``copy.deepcopy`` wait it out and roll the RNG back to where
@@ -484,19 +495,13 @@ class SensorFault(FaultModel):
     """
 
     hook = "input"
-    #: Whether the per-firing draws depend only on the RNG and the image
-    #: shape, so :meth:`apply` may make them one frame ahead.
-    draws_ahead: bool = False
     _ahead: _DrawAhead | None = None
 
     def apply(self, bundle: SensorFrame, frame: int) -> SensorFrame:
         """Return the (possibly corrupted) bundle for this frame."""
         if not self.trigger.in_window(frame):
             return bundle
-        if self.draws_ahead:
-            fires, payload = self._drawn_for(bundle.image.shape)
-        else:
-            fires, payload = self.trigger.roll(self.rng), None
+        fires, payload = self._drawn_for(bundle.image.shape)
         if not fires:
             return bundle
         self.log.record(frame)
@@ -510,7 +515,8 @@ class SensorFault(FaultModel):
 
     def _drawn_for(self, shape: tuple) -> tuple[bool, object]:
         """This frame's draws (made ahead if they fit ``shape``), then
-        the next in-window frame's draws started on the helper."""
+        the next in-window frame's draws started on the helper if they
+        are large enough."""
         ahead, self._ahead = self._ahead, None
         drawn = None
         if ahead is not None:
@@ -520,7 +526,8 @@ class SensorFault(FaultModel):
                 ahead.roll_back()
         if drawn is None:
             drawn = self._draws(self.rng, shape)
-        self._ahead = _DrawAhead(self, self.rng, shape)
+        if self.draw_values(shape) >= DRAW_AHEAD_MIN_VALUES:
+            self._ahead = _DrawAhead(self, self.rng, shape)
         return drawn
 
     def drop_draw(self) -> None:
@@ -539,15 +546,20 @@ class SensorFault(FaultModel):
         state.pop("_ahead", None)
         return state
 
+    def draw_values(self, shape: tuple) -> int:
+        """How many values :meth:`draw` takes from the RNG for an image of
+        ``shape``; 0 (never drawn ahead) for faults whose draws depend on
+        the bundle and are made in :meth:`transform`."""
+        return 0
+
     def draw(self, rng: np.random.Generator, shape: tuple):
         """One firing's payload, drawn from ``rng`` for an image of
-        ``shape`` (hook of :attr:`draws_ahead` faults; others draw in
-        :meth:`transform`)."""
+        ``shape`` (hook of faults with :meth:`draw_values`)."""
         return None
 
     def corrupt(self, bundle: SensorFrame, payload) -> SensorFrame:
         """Corrupt ``bundle`` in place with ``payload`` and return it
-        (:attr:`draws_ahead` faults override this)."""
+        (faults with :meth:`draw_values` override this)."""
         return self.transform(bundle)
 
     def transform(self, bundle: SensorFrame) -> SensorFrame:

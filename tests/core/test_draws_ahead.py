@@ -13,6 +13,7 @@ import copy
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -30,8 +31,17 @@ from repro.sim.render import CameraModel
 from repro.sim.sensors import SensorFrame
 from repro.sim.town import GridTownConfig
 
+import test_pinned_noise
+
 SHAPE = (12, 16, 3)
 SIGMA = 0.1
+DEFAULT_MIN_VALUES = fault_base.DRAW_AHEAD_MIN_VALUES
+
+
+@pytest.fixture(autouse=True)
+def draw_everything_ahead(monkeypatch):
+    """These tests use small images: draw them ahead all the same."""
+    monkeypatch.setattr(fault_base, "DRAW_AHEAD_MIN_VALUES", 0)
 
 
 def _bundle(frame: int) -> SensorFrame:
@@ -119,6 +129,26 @@ def test_a_draw_made_for_another_shape_is_made_again():
     _expected(reference, _bundle(2))
     small = SensorFrame(3, np.full((6, 8, 3), 128, np.uint8), (0.0, 0.0), 0.0, 0.0)
     assert np.array_equal(fault.apply(small, 3).image, _expected(reference, small))
+
+
+def test_only_large_draws_are_made_ahead(monkeypatch):
+    monkeypatch.setattr(fault_base, "DRAW_AHEAD_MIN_VALUES", DEFAULT_MIN_VALUES)
+    small, large = GaussianNoise(SIGMA), GaussianNoise(SIGMA)
+    for fault in (small, large):
+        fault.bind(np.random.default_rng(3))
+    image = np.zeros((64, 96, 3), np.uint8)
+    small.apply(SensorFrame(0, image[:24, :32], (0.0, 0.0), 0.0, 0.0), 0)
+    large.apply(SensorFrame(0, image, (0.0, 0.0), 0.0, 0.0), 0)
+    assert small._ahead is None, "a 32x24 field is drawn inline"
+    assert large._ahead is not None, "a 96x64 field is drawn ahead"
+    large.drop_draw()
+
+
+def test_the_noise_pins_hold_with_every_draw_made_ahead():
+    """``test_pinned_noise``'s 32x24 fields are below the size drawn
+    ahead by default; drawn ahead, they must give the same bits."""
+    for executor, slot in (("serial", None), ("multiplexed", 4)):
+        test_pinned_noise.test_noised_frames_match_their_pinned_digests(executor, slot)
 
 
 def test_salt_and_pepper_at_half_probability_matches_inline_draws():
@@ -232,3 +262,42 @@ def test_a_pool_forked_after_noise_gives_the_serial_records():
     serial = run(executor="serial")
     assert fault_base._helper._thread is not None
     assert run(executor="process", workers=2) == serial
+
+
+def test_threads_applying_noise_at_once_keep_their_streams():
+    """More threads than cores apply noise at once, with a short switch
+    interval: every thread's frames still equal the inline streams."""
+    n_threads, n_frames = 4, 30
+
+    def reference(seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for frame in range(n_frames):
+            image = _bundle(frame).image
+            if rng.random() < 0.5:
+                image = _expected(rng, _bundle(frame))
+            out.append(image)
+        return out
+
+    results = {}
+
+    def drive(seed):
+        fault = GaussianNoise(SIGMA, Trigger(probability=0.5))
+        fault.bind(np.random.default_rng(seed))
+        results[seed] = [fault.apply(_bundle(f), f).image for f in range(n_frames)]
+        fault.drop_draw()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=drive, args=(seed,)) for seed in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive(), "a thread applying noise never finished"
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in range(n_threads):
+        assert all(np.array_equal(a, b) for a, b in zip(results[seed], reference(seed)))
+        assert len(results[seed]) == n_frames
