@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 import os
 import queue
 import threading
@@ -526,7 +525,8 @@ class SensorFault(FaultModel):
                 ahead.roll_back()
         if drawn is None:
             drawn = self._draws(self.rng, shape)
-        if self.draw_values(shape) >= DRAW_AHEAD_MIN_VALUES:
+        values = self.draw_values(shape)
+        if values and values >= DRAW_AHEAD_MIN_VALUES:
             self._ahead = _DrawAhead(self, self.rng, shape)
         return drawn
 

@@ -24,7 +24,7 @@ import pytest
 from repro.agent import nn_agent_factory
 from repro.agent.ilcnn import ILCNN, ILCNNConfig
 from repro.core import Campaign, EpisodeDriver, standard_scenarios
-from repro.core.faults import GaussianNoise, SaltAndPepper, Trigger
+from repro.core.faults import GaussianNoise, GPSNoiseFault, SaltAndPepper, Trigger
 from repro.core.faults import base as fault_base
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
@@ -41,7 +41,7 @@ DEFAULT_MIN_VALUES = fault_base.DRAW_AHEAD_MIN_VALUES
 @pytest.fixture(autouse=True)
 def draw_everything_ahead(monkeypatch):
     """These tests use small images: draw them ahead all the same."""
-    monkeypatch.setattr(fault_base, "DRAW_AHEAD_MIN_VALUES", 0)
+    monkeypatch.setattr(fault_base, "DRAW_AHEAD_MIN_VALUES", 1)
 
 
 def _bundle(frame: int) -> SensorFrame:
@@ -142,6 +142,12 @@ def test_only_large_draws_are_made_ahead(monkeypatch):
     assert small._ahead is None, "a 32x24 field is drawn inline"
     assert large._ahead is not None, "a 96x64 field is drawn ahead"
     large.drop_draw()
+    # Faults that draw in transform never draw ahead, whatever the bound.
+    monkeypatch.setattr(fault_base, "DRAW_AHEAD_MIN_VALUES", 0)
+    gps = GPSNoiseFault()
+    gps.bind(np.random.default_rng(3))
+    gps.apply(_bundle(0), 0)
+    assert gps._ahead is None
 
 
 def test_the_noise_pins_hold_with_every_draw_made_ahead():
