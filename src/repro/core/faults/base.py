@@ -23,20 +23,20 @@ Every fault model owns a seeded RNG handed to it by the injection harness,
 so campaigns replay bit-for-bit.
 
 A sensor fault whose draws depend only on its own RNG and the camera
-shape (per-frame noise) makes each in-window frame's draws one frame
-ahead, on one helper thread per process, when the draw is large
-(:class:`SensorFault`).  NumPy's ``Generator`` fills release the GIL, so
-the draw runs on an idle core while the frame goes on, and it consumes
-the RNG exactly as an inline draw would.
+shape (gaussian noise) makes each in-window frame's draws one frame
+ahead, on one helper thread per process, when the draw is large and a
+core is spare (:class:`SensorFault`).  NumPy's ``Generator`` fills
+release the GIL, so the draw runs on the idle core while the frame goes
+on, and it consumes the RNG exactly as an inline draw would.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import multiprocessing
 import os
-import queue
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -373,102 +373,45 @@ class FaultModel:
 #: takes the GIL twice), which only a large draw repays.  Measured on a
 #: 2-vCPU host, frames/s ahead vs inline in one process: gaussian at
 #: 32x24 (2,304 values) 0.93x, 48x32 (4,608) 0.97x, 64x48 (9,216) 1.05x,
-#: 96x64 (18,432) 1.13x; salt-and-pepper at 96x64 (6,144) 0.99x.
+#: 96x64 (18,432) 1.13x.
 DRAW_AHEAD_MIN_VALUES = 8192
 
 
-class _DrawHelper:
-    """One daemon thread that runs draw jobs in submission order.
-
-    There is one per process (:data:`_helper`), started on first use; a
-    forked child gets a fresh one (see ``os.register_at_fork`` below).
-    """
-
-    def __init__(self) -> None:
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-        self._start_lock = threading.Lock()
-
-    def submit(self, job) -> None:
-        """Queue ``job`` (a no-argument callable) for the helper thread."""
-        if self._thread is None:
-            with self._start_lock:
-                if self._thread is None:
-                    self._thread = threading.Thread(
-                        target=self._serve, name="fault-draws", daemon=True
-                    )
-                    self._thread.start()
-        self._jobs.put(job)
-
-    def drain(self) -> None:
-        """Wait until every job submitted so far has finished."""
-        if self._thread is not None:
-            done = threading.Event()
-            self._jobs.put(done.set)
-            done.wait()
-
-    def _serve(self) -> None:
-        while True:
-            self._jobs.get()()
+#: Whether this process may run on more than one core at all.
+_MANY_CORES = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) > 1
 
 
-_helper = _DrawHelper()
+def _spare_core() -> bool:
+    """Whether the helper can expect a core that this process's frames
+    leave idle: a host with one core has none, and neither has a worker
+    process of the process or queue backend, which start one worker per
+    core by default.  (On a 2-vCPU host, a process-backend gaussian
+    campaign at two workers that drew ahead in every worker gained
+    nothing: frames/s median paired ratio 0.99, 4 of 10 pairs.)"""
+    return _MANY_CORES and multiprocessing.parent_process() is None
+
+
+#: The helper thread, one per process, started on first use.  It runs
+#: draws in submission order.
+_helper = ThreadPoolExecutor(1, thread_name_prefix="fault-draws")
+
+
+def _drain_helper() -> None:
+    if _helper._threads:  # started: wait out every draw queued so far
+        _helper.submit(int).result()
 
 
 def _new_helper_in_child() -> None:
     global _helper
-    _helper = _DrawHelper()
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="fault-draws")
 
 
 # A fork copies no thread but the forking one: the child starts its own
 # helper.  Draining first means no draw is half-done in the child's copy
 # of memory (a Generator mid-fill holds its lock).
-os.register_at_fork(before=lambda: _helper.drain(), after_in_child=_new_helper_in_child)
-
-
-class _DrawAhead:
-    """One in-window frame's draws, made on the helper thread.
-
-    Keeps the RNG's state from before the draws, so draws that are never
-    used can be rolled back as if they had not been made.
-    """
-
-    __slots__ = ("fault", "rng", "shape", "rng_state", "drawn", "error", "done")
-
-    def __init__(self, fault: "SensorFault", rng: np.random.Generator, shape: tuple):
-        self.fault = fault
-        self.rng = rng
-        self.shape = shape
-        self.rng_state = rng.bit_generator.state
-        self.drawn: tuple[bool, object] | None = None
-        self.error: BaseException | None = None
-        self.done = threading.Lock()  # held until run() finishes
-        self.done.acquire()
-        _helper.submit(self.run)
-
-    def run(self) -> None:
-        try:
-            self.drawn = self.fault._draws(self.rng, self.shape)
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.done.release()
-
-    def wait(self) -> None:
-        with self.done:
-            pass
-
-    def result(self) -> tuple[bool, object]:
-        """``(fires, payload)``, once the helper has made them."""
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        return self.drawn
-
-    def roll_back(self) -> None:
-        """Wait out the draws, then restore the RNG to before them."""
-        self.wait()
-        self.rng.bit_generator.state = self.rng_state
+os.register_at_fork(before=_drain_helper, after_in_child=_new_helper_in_child)
 
 
 class SensorFault(FaultModel):
@@ -478,8 +421,9 @@ class SensorFault(FaultModel):
     (:meth:`draw`) and how that draw corrupts the bundle
     (:meth:`corrupt`).  A fault whose draws never depend on the bundle's
     content says how many values a draw takes (:meth:`draw_values`).
-    When that is at least :data:`DRAW_AHEAD_MIN_VALUES`, :meth:`apply`
-    starts the next in-window frame's draws (the trigger's uniform when
+    When that is at least :data:`DRAW_AHEAD_MIN_VALUES` and the process
+    has a core to spare (:func:`_spare_core`), :meth:`apply` starts the
+    next in-window frame's draws (the trigger's uniform when
     ``probability`` < 1, then the payload if it fires) on the helper
     thread, for the camera shape it just saw.  The frame goes on
     meanwhile, and the main thread touches that RNG again only after the
@@ -494,7 +438,9 @@ class SensorFault(FaultModel):
     """
 
     hook = "input"
-    _ahead: _DrawAhead | None = None
+    #: ``(shape, rng state before the draws, future of (fires, payload))``
+    #: of the next in-window frame's draws, made on the helper.
+    _ahead: tuple[tuple, dict, Future] | None = None
 
     def apply(self, bundle: SensorFrame, frame: int) -> SensorFrame:
         """Return the (possibly corrupted) bundle for this frame."""
@@ -516,25 +462,24 @@ class SensorFault(FaultModel):
         """This frame's draws (made ahead if they fit ``shape``), then
         the next in-window frame's draws started on the helper if they
         are large enough."""
+        if self._ahead is not None and self._ahead[0] != shape:
+            self.drop_draw()
         ahead, self._ahead = self._ahead, None
-        drawn = None
-        if ahead is not None:
-            if ahead.shape == shape:
-                drawn = ahead.result()
-            else:
-                ahead.roll_back()
-        if drawn is None:
-            drawn = self._draws(self.rng, shape)
+        drawn = ahead[2].result() if ahead is not None else self._draws(self.rng, shape)
         values = self.draw_values(shape)
-        if values and values >= DRAW_AHEAD_MIN_VALUES:
-            self._ahead = _DrawAhead(self, self.rng, shape)
+        if values and values >= DRAW_AHEAD_MIN_VALUES and _spare_core():
+            # The RNG's state from before the draws, to roll them back.
+            state = self.rng.bit_generator.state
+            self._ahead = (shape, state, _helper.submit(self._draws, self.rng, shape))
         return drawn
 
     def drop_draw(self) -> None:
         """Wait out a draw made ahead, if any, and roll the RNG back."""
         ahead, self._ahead = self._ahead, None
         if ahead is not None:
-            ahead.roll_back()
+            _, state, future = ahead
+            future.exception()  # waits; an error goes with the draw
+            self.rng.bit_generator.state = state
 
     def bind(self, rng: np.random.Generator) -> None:
         self.drop_draw()

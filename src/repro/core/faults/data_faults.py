@@ -15,8 +15,8 @@ Figure label              Class
 
 Occlusion positions and droplet layouts are drawn once per episode and then
 persist (dirt and water stick to a lens); noise models redraw per frame,
-large fields one frame ahead on a helper thread (see
-:class:`~.base.SensorFault`).
+gaussian's field one frame ahead on a helper thread when it is large
+(see :class:`~.base.SensorFault`).
 The module also provides GPS, speedometer, LIDAR and weather (world
 measurement) faults mentioned in §II's data-fault description, plus the
 telemetry-corruption catalog compound campaigns pair with the camera
@@ -105,17 +105,11 @@ class SaltAndPepper(SensorFault):
             raise ValueError("density must be within [0, 1]")
         self.density = density
 
-    def draw_values(self, shape: tuple) -> int:
-        return shape[0] * shape[1]
-
-    def draw(self, rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        mask = rng.random(shape[:2])
-        return mask < self.density / 2.0, mask > 1.0 - self.density / 2.0
-
-    def corrupt(self, bundle: SensorFrame, masks: tuple[np.ndarray, np.ndarray]) -> SensorFrame:
-        pepper, salt = masks
-        bundle.image[pepper] = 0
-        bundle.image[salt] = 255
+    def transform(self, bundle: SensorFrame) -> SensorFrame:
+        h, w = bundle.image.shape[:2]
+        mask = self.rng.random((h, w))
+        bundle.image[mask < self.density / 2.0] = 0
+        bundle.image[mask > 1.0 - self.density / 2.0] = 255
         return bundle
 
     def describe(self) -> dict:
