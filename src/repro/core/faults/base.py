@@ -36,7 +36,8 @@ import inspect
 import json
 import multiprocessing
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -385,33 +386,59 @@ _MANY_CORES = (
 
 def _spare_core() -> bool:
     """Whether the helper can expect a core that this process's frames
-    leave idle: a host with one core has none, and neither has a worker
-    process of the process or queue backend, which start one worker per
-    core by default.  (On a 2-vCPU host, a process-backend gaussian
-    campaign at two workers that drew ahead in every worker gained
-    nothing: frames/s median paired ratio 0.99, 4 of 10 pairs.)"""
+    leave idle.  A host with one core has none.  Neither has a process
+    that ``multiprocessing`` started: the process and queue backends
+    start one worker per core by default.  (A sandboxed attempt's child
+    is one too, and draws inline although its parent waits.)  On a
+    2-vCPU host, a process-backend gaussian campaign at two workers
+    that drew ahead in every worker gained nothing: frames/s median
+    paired ratio 0.99, 4 of 10 pairs."""
     return _MANY_CORES and multiprocessing.parent_process() is None
 
 
-#: The helper thread, one per process, started on first use.  It runs
-#: draws in submission order.
-_helper = ThreadPoolExecutor(1, thread_name_prefix="fault-draws")
+#: The helper thread's job queue, one per process; None until the first
+#: draw made ahead starts the thread.
+_jobs: queue.SimpleQueue | None = None
+_start_lock = threading.Lock()
+
+
+def _submit(fn, *args) -> queue.SimpleQueue:
+    """Run ``fn(*args)`` on the helper thread, after every job submitted
+    before it.  Returns the queue that receives ``(result, error)``."""
+    global _jobs
+    with _start_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="fault-draws", daemon=True).start()
+    outcome: queue.SimpleQueue = queue.SimpleQueue()
+    _jobs.put((fn, args, outcome))
+    return outcome
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        fn, args, outcome = jobs.get()
+        try:
+            outcome.put((fn(*args), None))
+        except BaseException as exc:
+            outcome.put((None, exc))
 
 
 def _drain_helper() -> None:
-    if _helper._threads:  # started: wait out every draw queued so far
-        _helper.submit(int).result()
+    if _jobs is not None:  # started: wait out every draw queued so far
+        _submit(int).get()
 
 
-def _new_helper_in_child() -> None:
-    global _helper
-    _helper = ThreadPoolExecutor(1, thread_name_prefix="fault-draws")
+def _forget_helper_in_child() -> None:
+    global _jobs, _start_lock
+    _jobs = None
+    _start_lock = threading.Lock()  # another thread may have held it
 
 
 # A fork copies no thread but the forking one: the child starts its own
 # helper.  Draining first means no draw is half-done in the child's copy
 # of memory (a Generator mid-fill holds its lock).
-os.register_at_fork(before=_drain_helper, after_in_child=_new_helper_in_child)
+os.register_at_fork(before=_drain_helper, after_in_child=_forget_helper_in_child)
 
 
 class SensorFault(FaultModel):
@@ -438,9 +465,10 @@ class SensorFault(FaultModel):
     """
 
     hook = "input"
-    #: ``(shape, rng state before the draws, future of (fires, payload))``
-    #: of the next in-window frame's draws, made on the helper.
-    _ahead: tuple[tuple, dict, Future] | None = None
+    #: ``(shape, rng state before the draws, queue receiving
+    #: ((fires, payload), error))`` of the next in-window frame's draws,
+    #: made on the helper.
+    _ahead: tuple[tuple, dict, queue.SimpleQueue] | None = None
 
     def apply(self, bundle: SensorFrame, frame: int) -> SensorFrame:
         """Return the (possibly corrupted) bundle for this frame."""
@@ -465,20 +493,25 @@ class SensorFault(FaultModel):
         if self._ahead is not None and self._ahead[0] != shape:
             self.drop_draw()
         ahead, self._ahead = self._ahead, None
-        drawn = ahead[2].result() if ahead is not None else self._draws(self.rng, shape)
+        if ahead is None:
+            drawn = self._draws(self.rng, shape)
+        else:
+            drawn, error = ahead[2].get()
+            if error is not None:
+                raise error
         values = self.draw_values(shape)
         if values and values >= DRAW_AHEAD_MIN_VALUES and _spare_core():
             # The RNG's state from before the draws, to roll them back.
             state = self.rng.bit_generator.state
-            self._ahead = (shape, state, _helper.submit(self._draws, self.rng, shape))
+            self._ahead = (shape, state, _submit(self._draws, self.rng, shape))
         return drawn
 
     def drop_draw(self) -> None:
         """Wait out a draw made ahead, if any, and roll the RNG back."""
         ahead, self._ahead = self._ahead, None
         if ahead is not None:
-            _, state, future = ahead
-            future.exception()  # waits; an error goes with the draw
+            _, state, outcome = ahead
+            outcome.get()  # waits; an error goes with the draw
             self.rng.bit_generator.state = state
 
     def bind(self, rng: np.random.Generator) -> None:

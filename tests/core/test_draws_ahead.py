@@ -68,7 +68,7 @@ class _HeldHelper:
         self.timer = threading.Timer(hold_s, self.gate.set)
 
     def __enter__(self):
-        fault_base._helper.submit(self.gate.wait)
+        fault_base._submit(self.gate.wait)
         self.timer.start()
         return self
 
@@ -205,13 +205,13 @@ def test_no_draw_outlives_detach():
             driver.step_world()
             driver.complete_frame(driver.sense())
         with _HeldHelper():
-            ahead = fault._ahead
-            assert ahead is not None
+            assert fault._ahead is not None
             driver.close()
     finally:
         driver.close()
     assert fault._ahead is None
-    assert ahead[2].done(), "detach returned with the draw still running"
+    # A draw detach had not waited out would run now and move the RNG.
+    fault_base._drain_helper()
     # The RNG stands after exactly one field per firing.
     firings = len(fault.log.frames)
     assert firings == 5
@@ -223,14 +223,16 @@ def test_no_draw_outlives_detach():
 
 
 def test_a_forked_child_draws_on_its_own_helper():
-    """The parent's helper thread does not survive a fork; the child must
-    start its own, or its first draw made ahead never finishes.  The
-    child gets 20 s, then is killed, so a hang fails the test."""
+    """The parent's helper thread does not survive a fork: the fork waits
+    out the draw still queued for frame 3, and the child starts its own
+    helper, or a draw it waits for never finishes.  The child gets 20 s,
+    then is killed, so a hang fails the test."""
     fault, reference = _fault_in_flight()
-    fault.apply(_bundle(2), 2)  # the parent's helper is running
     _expected(reference, _bundle(2))
     want = [_expected(reference, _bundle(frame)) for frame in (3, 4)]
-    pid = os.fork()
+    with _HeldHelper():
+        fault.apply(_bundle(2), 2)  # frame 3's draw waits behind the gate
+        pid = os.fork()
     if pid == 0:  # child: two more firings, the second from a draw made ahead
         code = 1
         try:
@@ -273,7 +275,7 @@ def test_a_pool_forked_after_noise_gives_the_serial_records():
         ).run().records]
 
     serial = run(executor="serial")
-    assert fault_base._helper._threads, "the parent's helper is running"
+    assert fault_base._jobs is not None, "the parent's helper is running"
     assert run(executor="process", workers=2) == serial
 
 
