@@ -9,7 +9,9 @@ texel and stamps stripes one scalar point at a time.  This gate times a
 cold ``TownTexture(build_town(BENCH_TOWN))`` against the reference in
 the same process, alternating the two, and fails if the current code is
 less than :data:`SETUP_GATE` times faster.  Being a ratio of two runs on
-one machine, the gate holds on any host.
+one machine, the gate holds on any host.  It also records the bytes the
+texture holds per texel (one palette id each, plus small tables); that
+figure is recorded, not gated.
 
 Results land in ``benchmarks/results/BENCH_scene_setup.json``.
 """
@@ -64,6 +66,8 @@ def test_cold_scene_setup_gate(capsys):
         "town": f"{BENCH_TOWN.rows}x{BENCH_TOWN.cols}",
         "resolution_m": RESOLUTION,
         "texels": int(tex.classes.size),
+        "texture_bytes": tex.nbytes,
+        "bytes_per_texel": tex.nbytes / tex.classes.size,
         "trials": SETUP_TRIALS,
         "current_s": current_s,
         "reference_s": reference_s,
@@ -78,7 +82,8 @@ def test_cold_scene_setup_gate(capsys):
             [
                 f"Cold scene setup ({payload['town']} town at {RESOLUTION} m, "
                 f"{payload['texels']} texels, median of {SETUP_TRIALS})",
-                f"  TownTexture : {current_s * 1e3:7.1f} ms",
+                f"  TownTexture : {current_s * 1e3:7.1f} ms, "
+                f"{payload['bytes_per_texel']:.2f} bytes per texel",
                 f"  reference   : {reference_s * 1e3:7.1f} ms  "
                 f"({speedup:4.1f}x, gate >= {SETUP_GATE}x)",
                 f"  written to {SCENE_SETUP_RESULT_PATH}",

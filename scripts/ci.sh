@@ -18,7 +18,8 @@
 # (see benchmarks/test_bench_multiplex.py).  And it gates cold scene
 # setup: a fresh TownTexture of the benchmark town must build >= 5x faster
 # than the whole-grid reference rasteriser, recorded in
-# benchmarks/results/BENCH_scene_setup.json
+# benchmarks/results/BENCH_scene_setup.json with the bytes the texture
+# holds per texel (recorded, not gated)
 # (see benchmarks/test_bench_scene_setup.py).  And it gates route queries:
 # the expert's per-frame route queries must cost >= 2x less than the NumPy
 # reference path that scans on every query, alternating in one process,
@@ -131,9 +132,9 @@ injectors = {
     "gaussian": [GaussianNoise(0.1)],
     "s&p": [SaltAndPepper(trigger=Trigger(probability=0.5))],
 }
-model = ILCNN(ILCNNConfig())
-model.set_training(False)  # inference, as `avfi run` builds the nn agent
-factory = nn_agent_factory(model)
+# Built in code, the model is in training mode: inference must still
+# run without dropout, or serial != multiplexed.
+factory = nn_agent_factory(ILCNN(ILCNNConfig()))
 
 def run(executor, slot, workers=None):
     return [r.to_dict() for r in Campaign(

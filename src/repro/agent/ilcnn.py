@@ -115,6 +115,8 @@ class ILCNN:
         ]
         self._branch_masks: list[np.ndarray] | None = None
         self._n: int = 0
+        #: The mode :meth:`set_training` last chose (a fresh model trains).
+        self.training = True
 
     # ------------------------------------------------------------------
     # Forward / backward
@@ -163,9 +165,21 @@ class ILCNN:
         self.speed_head.backward(grad_concat[:, cfg.trunk_dim :])
 
     def predict_one(self, image: np.ndarray, speed: float, command: Command) -> np.ndarray:
-        """Single-frame inference from a raw camera image."""
+        """Single-frame inference from a raw camera image.
+
+        Always in inference mode, whatever :meth:`set_training` last
+        chose: dropout would draw its masks from one RNG the model shares
+        across episodes, so a control would depend on episode order.
+        """
         x = preprocess_image(image, self.config.input_hw)[None, ...]
-        return self.forward(x, np.array([speed]), np.array([int(command)]))[0]
+        args = (x, np.array([speed]), np.array([int(command)]))
+        if not self.training:
+            return self.forward(*args)[0]
+        self.set_training(False)
+        try:
+            return self.forward(*args)[0]
+        finally:
+            self.set_training(True)
 
     # ------------------------------------------------------------------
     # Parameter plumbing
@@ -195,6 +209,7 @@ class ILCNN:
 
     def set_training(self, flag: bool) -> None:
         """Toggle training mode on every block."""
+        self.training = flag
         for block in self.submodules().values():
             block.set_training(flag)
 

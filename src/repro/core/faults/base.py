@@ -384,16 +384,32 @@ _MANY_CORES = (
 ) > 1
 
 
+#: The parent's :func:`_spare_core` answer in a sandboxed attempt's
+#: child (see :func:`inherit_spare_core`); None in every other process.
+_inherited_spare_core: bool | None = None
+
+
 def _spare_core() -> bool:
     """Whether the helper can expect a core that this process's frames
     leave idle.  A host with one core has none.  Neither has a process
     that ``multiprocessing`` started: the process and queue backends
-    start one worker per core by default.  (A sandboxed attempt's child
-    is one too, and draws inline although its parent waits.)  On a
-    2-vCPU host, a process-backend gaussian campaign at two workers
-    that drew ahead in every worker gained nothing: frames/s median
-    paired ratio 0.99, 4 of 10 pairs."""
+    start one worker per core by default.  A sandboxed attempt's child
+    takes its parent's answer instead, since the parent only waits for
+    it.  On a 2-vCPU host, a process-backend gaussian campaign at two
+    workers that drew ahead in every worker gained nothing: frames/s
+    median paired ratio 0.99, 4 of 10 pairs."""
+    if _inherited_spare_core is not None:
+        return _inherited_spare_core
     return _MANY_CORES and multiprocessing.parent_process() is None
+
+
+def inherit_spare_core(answer: bool) -> None:
+    """Make this process answer :func:`_spare_core` as its parent did.
+
+    For a child whose parent waits while it runs (a sandboxed attempt):
+    the core the parent's frames would use is the child's to share."""
+    global _inherited_spare_core
+    _inherited_spare_core = answer
 
 
 #: The helper thread's job queue, one per process; None until the first
@@ -465,6 +481,10 @@ class SensorFault(FaultModel):
     """
 
     hook = "input"
+    #: Whether :meth:`corrupt` replaces ``bundle.image`` with a new array
+    #: and never writes into the one it is handed: its bundle copy then
+    #: shares the published image instead of copying it.
+    replaces_image = False
     #: ``(shape, rng state before the draws, queue receiving
     #: ((fires, payload), error))`` of the next in-window frame's draws,
     #: made on the helper.
@@ -478,7 +498,7 @@ class SensorFault(FaultModel):
         if not fires:
             return bundle
         self.log.record(frame)
-        return self.corrupt(bundle.copy(), payload)
+        return self.corrupt(bundle.copy(share_image=self.replaces_image), payload)
 
     def _draws(self, rng: np.random.Generator, shape: tuple) -> tuple[bool, object]:
         """One in-window frame's draws: ``(fires, payload)``."""

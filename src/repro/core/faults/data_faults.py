@@ -66,6 +66,7 @@ class GaussianNoise(SensorFault):
     """Additive white Gaussian noise on the camera image."""
 
     name = "gaussian"
+    replaces_image = True
 
     def __init__(self, sigma: float = 0.08, trigger: Trigger | None = None):
         super().__init__(trigger)
@@ -292,7 +293,7 @@ class CameraFreeze(SensorFault):
             self._frozen = bundle.image
             return bundle
         self.log.record(frame)
-        out = bundle.copy()
+        out = bundle.copy(share_image=self._frozen is not None)
         if self._frozen is not None:
             out.image = self._frozen.copy()
         return out

@@ -58,6 +58,7 @@ from .campaign import (
     episode_fingerprint,
     run_episode,
 )
+from .faults import base as fault_base
 from .faults.base import FaultModel
 from .outcomes import (
     EpisodeFailure,
@@ -208,8 +209,15 @@ class EpisodeTimeout(RuntimeError):
     """An episode attempt exceeded the policy's wall-clock timeout."""
 
 
-def _sandbox_entry(conn, context: CampaignContext, task: EpisodeTask) -> None:
-    """Sandbox child: run one episode, ship the outcome up the pipe."""
+def _sandbox_entry(
+    conn, context: CampaignContext, task: EpisodeTask, spare_core: bool
+) -> None:
+    """Sandbox child: run one episode, ship the outcome up the pipe.
+
+    ``spare_core`` is the parent's :func:`~repro.core.faults.base._spare_core`
+    answer: the parent only waits, so the child draws noise ahead
+    exactly where the parent would have."""
+    fault_base.inherit_spare_core(spare_core)
     try:
         record = execute_task(context, task)
     except BaseException as exc:  # noqa: BLE001 - the pipe is the only exit
@@ -246,7 +254,9 @@ def _run_sandboxed(
     ctx = multiprocessing.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
-        target=_sandbox_entry, args=(child_conn, context, task), daemon=False
+        target=_sandbox_entry,
+        args=(child_conn, context, task, fault_base._spare_core()),
+        daemon=False,
     )
     proc.start()
     child_conn.close()

@@ -58,11 +58,16 @@ class SensorFrame:
     heading: float
     lidar: Optional[np.ndarray] = None
 
-    def copy(self) -> "SensorFrame":
-        """Deep-enough copy so fault injectors can mutate safely."""
+    def copy(self, share_image: bool = False) -> "SensorFrame":
+        """Deep-enough copy so fault injectors can mutate safely.
+
+        With ``share_image`` the copy holds this bundle's image array
+        itself, for a caller that replaces the image rather than writing
+        into it.
+        """
         return SensorFrame(
             frame=self.frame,
-            image=self.image.copy(),
+            image=self.image if share_image else self.image.copy(),
             gps=tuple(self.gps),
             speed=float(self.speed),
             heading=float(self.heading),

@@ -458,12 +458,16 @@ class Town:
         lane, station, lateral = self.nearest_lane(point, yaw_hint)
         x, y = point.x, point.y
         surface = self.classify_point(x, y)
-        # Intersection.contains over the scalars classify_point cached.
-        _, inters = self._surface_param_cache
-        in_inter = any(
-            abs(x - ix) <= half and abs(y - iy) <= half for ix, iy, half in inters
-        )
-        return LaneLocation(lane, station, lateral, surface, in_inter)
+        return LaneLocation(lane, station, lateral, surface, self.in_intersection(x, y))
+
+    def in_intersection(self, x: float, y: float) -> bool:
+        """Whether ``(x, y)`` lies inside a junction core
+        (:meth:`Intersection.contains` over cached scalars)."""
+        try:
+            _, inters = self._surface_param_cache
+        except AttributeError:
+            _, inters = self._surface_params()
+        return any(abs(x - ix) <= half and abs(y - iy) <= half for ix, iy, half in inters)
 
     def classify_points(self, xy: np.ndarray) -> np.ndarray:
         """Vectorised surface classification of ``xy`` (shape ``(N, 2)``).

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
+from .town import SurfaceType
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .actors import Vehicle
     from .world import World
@@ -141,10 +143,17 @@ class ViolationMonitor:
         self, world: "World", ego: "Vehicle", frame: int
     ) -> list[ViolationEvent]:
         new_events: list[ViolationEvent] = []
-        loc = world.town.locate(ego.position, yaw_hint=ego.yaw)
-        on_pavement = loc.surface.name == "ROAD"
-        off_surface = not on_pavement
-        lane_bad = on_pavement and not loc.in_intersection and loc.off_lane
+        # Town.locate's answers, but the nearest lane is looked up only
+        # where it is read: on pavement outside a junction.
+        town = world.town
+        pos = ego.position
+        surface = town.classify_point(pos.x, pos.y)
+        off_surface = surface is not SurfaceType.ROAD
+        lane_bad = False
+        lateral = None
+        if not off_surface and not town.in_intersection(pos.x, pos.y):
+            lane, _, lateral = town.nearest_lane(pos, ego.yaw)
+            lane_bad = abs(lateral) > lane.width / 2.0
 
         for detector, vtype, condition in (
             (self._lane, ViolationType.LANE, lane_bad),
@@ -154,9 +163,9 @@ class ViolationMonitor:
             if edge == "none" and not condition:
                 continue
             if vtype is ViolationType.LANE:
-                details = {"lateral": loc.lateral}
+                details = {"lateral": lateral}
             else:
-                details = {"surface": loc.surface.name}
+                details = {"surface": surface.name}
             if edge == "start":
                 event = ViolationEvent(
                     vtype, frame, (ego.position.x, ego.position.y), details

@@ -200,6 +200,43 @@ class TestWaterDrop:
             WaterDrop(n_drops=0)
 
 
+class TestBundleCopies:
+    """A firing hands on a copy of the bundle; only a fault that writes
+    into the image pays for copying it."""
+
+    def test_gaussian_firing_copies_no_image(self, monkeypatch):
+        copies = []
+        real_copy = SensorFrame.copy
+
+        def spy(frame, share_image=False):
+            copies.append(share_image)
+            return real_copy(frame, share_image)
+
+        monkeypatch.setattr(SensorFrame, "copy", spy)
+        fault = bind(GaussianNoise(sigma=0.1))
+        b = bundle()
+        image, original = b.image, b.image.copy()
+        out = fault.apply(b, frame=0)
+        assert copies == [True]
+        assert b.image is image and np.array_equal(image, original)
+        assert out is not b and out.image is not image
+        assert out.lidar is not b.lidar and np.array_equal(out.lidar, b.lidar)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [SaltAndPepper(), SolidOcclusion(), TransparentOcclusion(), WaterDrop()],
+        ids=lambda f: f.name,
+    )
+    def test_in_place_faults_write_a_private_copy(self, fault):
+        fault = bind(fault)
+        b = bundle()
+        original = b.image.copy()
+        out = fault.apply(b, frame=0)
+        assert out.image is not b.image
+        assert not np.array_equal(out.image, original)
+        assert np.array_equal(b.image, original), "the published image must not change"
+
+
 class TestCameraFreeze:
     def test_replays_last_prefault_frame(self):
         fault = bind(CameraFreeze(trigger=Trigger(start_frame=2)))

@@ -5,7 +5,8 @@ frame early.  The bits are pinned elsewhere
 (``test_pinned_noise.py``); these tests pin the lifecycle: a draw in
 flight is not fault state (copies and pickles drop it and leave the RNG
 where ``apply`` left it), detach waits it out, a forked child draws on
-its own helper, and a process pool forked after the parent drew noise
+its own helper, a sandboxed attempt's child draws ahead where its
+parent would, and a process pool forked after the parent drew noise
 gives the serial records.
 """
 
@@ -22,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.agent import nn_agent_factory
+from repro.agent import autopilot_agent_factory, nn_agent_factory
 from repro.agent.ilcnn import ILCNN, ILCNNConfig
-from repro.core import Campaign, EpisodeDriver, standard_scenarios
+from repro.core import Campaign, EpisodeDriver, FaultTolerancePolicy, standard_scenarios
 from repro.core.faults import GaussianNoise, GPSNoiseFault, SaltAndPepper, Trigger
 from repro.core.faults import base as fault_base
 from repro.sim.builders import SimulationBuilder
@@ -170,6 +171,44 @@ def test_worker_processes_and_one_core_hosts_draw_inline(monkeypatch):
     assert SPARE_CORE() is False
     monkeypatch.setattr(fault_base, "_MANY_CORES", True)
     assert SPARE_CORE() is True, "the main process of a multi-core host draws ahead"
+
+
+def test_sandboxed_attempts_draw_ahead_where_their_parent_would(tmp_path, monkeypatch):
+    """With ``timeout_s`` set, each serial attempt runs in a forked child
+    while the parent waits: the child draws ahead exactly when the
+    parent would, although ``multiprocessing`` started it."""
+    monkeypatch.setattr(fault_base, "_spare_core", SPARE_CORE)
+    log = tmp_path / "submitted"
+    real_submit = fault_base._submit
+
+    def spy(fn, *args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_submit(fn, *args)
+
+    monkeypatch.setattr(fault_base, "_submit", spy)
+    for many_cores in (True, False):
+        monkeypatch.setattr(fault_base, "_MANY_CORES", many_cores)
+        log.unlink(missing_ok=True)
+        result = Campaign(
+            _nn_scenarios()[:1], autopilot_agent_factory(), {"gaussian": [GaussianNoise(SIGMA)]},
+            builder=BUILDER, executor="serial",
+            fault_tolerance=FaultTolerancePolicy(timeout_s=120.0),
+        ).run()
+        assert len(result.records) == 1
+        # The parent submits too: a fork first waits out its helper.
+        pids = set(log.read_text().split()) if log.exists() else set()
+        children = pids - {str(os.getpid())}
+        if many_cores:
+            assert children, "the sandbox child drew inline"
+        else:
+            assert not children, "a one-core host's sandbox child drew ahead"
+
+
+def test_the_noise_pins_hold_in_sandboxed_attempts_drawing_ahead(tmp_path, monkeypatch):
+    monkeypatch.setattr(fault_base, "_spare_core", SPARE_CORE)
+    monkeypatch.setattr(fault_base, "_MANY_CORES", True)
+    test_pinned_noise.test_noised_frames_match_their_pins_in_sandboxed_attempts(tmp_path)
 
 
 def test_the_noise_pins_hold_with_every_draw_made_ahead():

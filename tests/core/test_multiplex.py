@@ -150,6 +150,20 @@ class TestMultiplexedByteIdentity:
         ).run()
         assert_records_equal(serial, mux)
 
+    def test_nn_agent_built_in_training_mode_matches_serial(self, scenarios):
+        """A model built in code starts in training mode; inference must
+        still run without dropout, or its masks would come from one RNG
+        the episodes share and the records would follow episode order."""
+        builder = SimulationBuilder(camera=CameraModel(width=48, height=32), with_lidar=False)
+        short = [replace(s, mission=replace(s.mission, time_limit_s=4.0)) for s in scenarios[:2]]
+        factory = nn_agent_factory(ILCNN(ILCNNConfig()))
+        serial = Campaign(short, factory, {"none": []}, builder=builder, base_seed=5).run()
+        mux = Campaign(
+            short, factory, {"none": []}, builder=builder, base_seed=5,
+            executor="multiplexed", episodes_per_slot=4,
+        ).run()
+        assert_records_equal(serial, mux)
+
     def test_process_workers_drain_multiplexed_slots(self, builder, scenarios):
         serial = Campaign(
             scenarios, AutopilotAgentFactory(), injectors(),

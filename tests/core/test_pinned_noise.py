@@ -9,20 +9,23 @@ It covers gaussian and salt-and-pepper noise at trigger probability 1.0
 and 0.5, a ``start_frame``/``end_frame`` window and a compound of both
 faults, on the serial path (slot 1) and the multiplexed one (slot 4),
 which interleaves the episodes' frames.  Both paths must hand the agent
-the same bytes, so one pin list serves both.
+the same bytes, so one pin list serves both.  So must a serial campaign
+with ``timeout_s`` set, whose attempts each run in a forked sandbox
+child: there the taps stream the bytes to one file per episode.
 
 A deliberate change to the noise streams re-pins these values and says
 why.
 """
 
 import hashlib
+import os
 import struct
 from dataclasses import replace
 
 import pytest
 
 from repro.agent import autopilot_agent_factory
-from repro.core import Campaign, standard_scenarios
+from repro.core import Campaign, FaultTolerancePolicy, standard_scenarios
 from repro.core.faults import GaussianNoise, SaltAndPepper, Trigger
 from repro.sim.builders import SimulationBuilder
 from repro.sim.render import CameraModel
@@ -111,3 +114,41 @@ def test_noised_frames_match_their_pinned_digests(executor, slot):
     ).run()
     assert len(result.records) == len(factory.digests) == 14
     assert [d.hexdigest() for d in factory.digests] == PINNED_FRAME_SHA256
+
+
+class _FileTap(_Tap):
+    """A :class:`_Tap` that appends what it hashes to a file, so a tap in
+    a sandbox child leaves its bytes where the parent can read them."""
+
+    def __init__(self, agent, path):
+        super().__init__(agent, self)
+        self.path = path
+
+    def update(self, data: bytes) -> None:
+        with open(self.path, "ab") as f:
+            f.write(data)
+
+
+class _FileTapFactory:
+    """Builds one :class:`_FileTap` per episode, each on the next
+    numbered file in ``directory`` (serial attempts run one at a time)."""
+
+    def __init__(self, directory):
+        self.inner = autopilot_agent_factory()
+        self.directory = directory
+
+    def __call__(self, handles, mission):
+        path = self.directory / f"{len(os.listdir(self.directory)):03d}"
+        path.touch()
+        return _FileTap(self.inner(handles, mission), path)
+
+
+def test_noised_frames_match_their_pins_in_sandboxed_attempts(tmp_path):
+    result = Campaign(
+        _scenarios(), _FileTapFactory(tmp_path), _injectors(),
+        builder=SimulationBuilder(camera=CameraModel(width=32, height=24), with_lidar=False),
+        executor="serial", fault_tolerance=FaultTolerancePolicy(timeout_s=120.0),
+    ).run()
+    files = sorted(tmp_path.iterdir())
+    assert len(result.records) == len(files) == 14
+    assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == PINNED_FRAME_SHA256

@@ -13,6 +13,11 @@ to ``Town.classify_points`` over the full ``meshgrid``,
 the town, so stripes run off the edge), and ``Polyline.resampled`` to
 scalar ``point_at`` calls.
 
+The texture keeps one palette id per texel; the id-raster tests hold
+every sampler to lookups into the materialised ``texture``/``classes``
+arrays, check that ids widen rather than wrap past 256 pairs, and bound
+the bytes the benchmark town's texture holds.
+
 Regenerate the digests (only after an *intentional* raster change) with:
 
     PYTHONPATH=src python tests/sim/test_town_texture.py --regen
@@ -33,9 +38,16 @@ from texture_reference import reference_raster, reference_resampled_points
 
 from repro.core.spec import CampaignSpec, SpecError
 from repro.sim.builders import SimulationBuilder
-from repro.sim.geometry import Polyline, Vec2
-from repro.sim.render import TownTexture
-from repro.sim.town import GridTownConfig, ProceduralTownConfig, build_town
+from repro.sim.geometry import OrientedBox, Polyline, Vec2
+from repro.sim.render import SURFACE_COLORS, TownTexture
+from repro.sim.town import (
+    Building,
+    GridTownConfig,
+    ProceduralTownConfig,
+    SurfaceType,
+    Town,
+    build_town,
+)
 
 DIGEST_PATH = Path(__file__).parent / "town_texture_digests.json"
 
@@ -173,6 +185,115 @@ def test_resampled_matches_scalar_point_at(vertices, spacing):
         return
     points = line.resampled(spacing).points
     assert np.array([[p.x, p.y] for p in points]).tobytes() == kept.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The id raster: samplers, id width, memory
+# ----------------------------------------------------------------------
+
+
+def _expected_lookup(tex: TownTexture, x: np.ndarray, y: np.ndarray):
+    """``(colours, classes)`` of world points read off the materialised
+    ``texture``/``classes`` arrays: rows and columns truncate toward
+    zero like ``int()``, and off-map points read the grass colour and
+    ``OFFROAD``."""
+    cols = np.trunc((x - tex.x0) / tex.resolution)
+    rows = np.trunc((y - tex.y0) / tex.resolution)
+    inside = (cols >= 0) & (cols < tex.nx) & (rows >= 0) & (rows < tex.ny)
+    r = np.where(inside, rows, 0).astype(np.int64)
+    c = np.where(inside, cols, 0).astype(np.int64)
+    colors = tex.texture[r, c]
+    colors[~inside] = SURFACE_COLORS[int(SurfaceType.OFFROAD)]
+    classes = tex.classes[r, c]
+    classes[~inside] = int(SurfaceType.OFFROAD)
+    return colors, classes
+
+
+@given(
+    town_configs(),
+    st.sampled_from(PINNED_RESOLUTIONS),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 40.0),
+)
+@settings(max_examples=20, deadline=None)
+def test_samplers_match_the_materialised_rasters(config, res, seed, reach):
+    """Every sampler reads the id raster through a table; each must give
+    the bits a lookup into ``texture``/``classes`` gives, on the map, on
+    its edges and off it."""
+    town = build_town(config)
+    tex = TownTexture(town, res)
+    xmin, ymin, xmax, ymax = town.bounds
+    rng = np.random.default_rng(seed)
+    n = 300
+    x = rng.uniform(xmin - 12.0 - reach, xmax + 12.0 + reach, n)
+    y = rng.uniform(ymin - 12.0 - reach, ymax + 12.0 + reach, n)
+    # Texel edges and the grid's outer corners, where truncation decides.
+    x[:4] = tex.x0 + np.array([0.0, -1e-9, tex.nx * res, tex.nx * res - 1e-9])
+    y[:4] = tex.y0 + np.array([0.0, -1e-9, tex.ny * res, tex.ny * res - 1e-9])
+    colors, classes = _expected_lookup(tex, x, y)
+    xy = np.column_stack([x, y])
+    assert tex.sample(xy).tobytes() == colors.tobytes()
+    assert tex.sample_xy(x, y).tobytes() == colors.tobytes()
+    assert tex.sample_f32(np.stack([x, y])).tobytes() == colors.astype(np.float32).tobytes()
+    assert tex.sample_classes(xy).tobytes() == classes.tobytes()
+    assert tex.sample_classes_xy(x, y).tobytes() == classes.tobytes()
+    # Stacked points keep their trailing shape, as the renderer's episode
+    # slabs do.
+    w = np.stack([x, y]).reshape(2, 3, n // 3)
+    assert tex.sample_f32(w).shape == (3, n // 3, 3)
+    assert tex.sample_f32(w).tobytes() == colors.astype(np.float32).tobytes()
+
+
+def test_more_than_256_pairs_widen_the_ids():
+    """300 building footprints of distinct colours make more than 256
+    (colour, class) pairs: the ids widen to uint16, and no id wraps onto
+    another pair's colour."""
+    base = build_town(GridTownConfig(rows=2, cols=3, with_buildings=False))
+    xmin, ymin, xmax, ymax = base.bounds
+    buildings = [
+        Building(
+            OrientedBox(
+                Vec2(xmin + (i % 20 + 0.5) * (xmax - xmin) / 20,
+                     ymin + (i // 20 + 0.5) * (ymax - ymin) / 15),
+                0.0, 1.0, 1.0,
+            ),
+            8.0,
+            # int(ch * 0.55) keeps even channels apart: distinct footprints.
+            (2 * (i % 100), 2 * (i // 100), 0),
+        )
+        for i in range(300)
+    ]
+    town = Town(base.intersections, base.roads, base.lane_width, base.sidewalk_width, buildings)
+    tex = TownTexture(town, 0.5)
+    assert tex._ids.dtype == np.uint16
+    assert len(tex._rgb) > 256 and tex._ids.max() == len(tex._rgb) - 1
+    ref_texture, ref_classes = reference_raster(town, 0.5)
+    assert tex.texture.tobytes() == ref_texture.tobytes()
+    assert tex.classes.tobytes() == ref_classes.tobytes()
+
+
+def test_the_bench_town_texture_holds_about_a_byte_per_texel():
+    """The 4x4 benchmark town: the arrays the texture keeps, counted
+    once per buffer, are at most 1.1 bytes per texel of ids plus 64 KB
+    of tables and constants, and ``nbytes`` counts the ids and tables."""
+    tex = TownTexture(build_town(PINNED_TOWNS["bench_4x4"]), 0.25)
+    buffers = {}
+    for value in vars(tex).values():
+        if isinstance(value, np.ndarray):
+            base = value if value.base is None else value.base
+            buffers[id(base)] = base.nbytes
+    texels = tex.nx * tex.ny
+    held = sum(buffers.values())
+    assert tex._ids.nbytes <= 1.1 * texels
+    assert held - tex._ids.nbytes < 64 * 1024
+    assert tex._ids.nbytes < tex.nbytes <= held
+
+
+def test_materialised_rasters_are_read_only():
+    tex = TownTexture(build_town(GridTownConfig(rows=2, cols=3)), 0.5)
+    for raster in (tex.texture, tex.classes):
+        with pytest.raises(ValueError):
+            raster[0, 0] = 1
 
 
 # ----------------------------------------------------------------------
